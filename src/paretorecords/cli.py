@@ -23,6 +23,7 @@ from . import analytics, records
 from .frontier import f_minus, f_plus, f_minus_bruteforce, frontier_summary
 from .harness import (
     ExperimentConfig,
+    _f17,
     ks_statistic,
     lil_diagnostics,
     load_rows,
@@ -32,10 +33,6 @@ from .records import RecordBook, rebuild_oracle
 from .rng import ObservationStream
 
 __all__ = ["main"]
-
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -304,8 +301,11 @@ _SUITES = [
 
 def _cmd_selftest(args) -> int:
     inject = args.inject_fault or os.environ.get("PARETO_RECORDS_INJECT_FAULT") == "1"
+    strict_gt = records._strict_gt
     if inject:
-        records._DOMINANCE_FAULT = True
+        # break tie handling (> becomes >=) in every incremental dominance
+        # test; generic random data still passes, crafted ties must not
+        records._strict_gt = lambda x, y: x >= y
     failures = []
     try:
         print(f"{'suite':24s} {'result':8s} seconds")
@@ -318,7 +318,7 @@ def _cmd_selftest(args) -> int:
             if detail is not None:
                 failures.append((name, detail))
     finally:
-        records._DOMINANCE_FAULT = False
+        records._strict_gt = strict_gt
     if failures:
         for name, detail in failures:
             print(f"FAIL {name}: {detail}", file=sys.stderr)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import Point, RecordBook, _as_coords, _strict_gt, coord_sums
+from .records import Point, RecordBook, _as_coords
 
 __all__ = [
     "FrontierSummary",
@@ -36,6 +36,7 @@ __all__ = [
     "f_plus",
     "f_minus",
     "f_minus_witness",
+    "f_minus_after_record",
     "f_minus_bruteforce",
     "f_minus_candidate_grid",
     "in_rs",
@@ -116,6 +117,25 @@ def f_minus_witness(book: RecordBook):
     if book.n == 0:
         return 0.0, np.zeros(book.d)
     return _min_cover(book.record_coords)
+
+
+def f_minus_after_record(book: RecordBook, z, value: float, witness: np.ndarray):
+    """(f_minus, witness) after the new record ``z`` joined ``book``.
+
+    ``(value, witness)`` is the pair from before ``z``.  It is returned as is
+    unless ``z`` strictly dominates the witness (``z_j > w_j`` for every j);
+    otherwise the min-cover is solved again with :func:`f_minus_witness`.
+
+    Why this is exact, ties included: the witness lies in the old region.
+    If ``z`` does not strictly dominate it, no record of the new book does
+    (the others are old records), so the witness stays in the new region
+    and ``f_minus`` cannot exceed its sum.  The new region is a subset of
+    the old one, so ``f_minus`` cannot fall either.  Every route rounds the
+    sum with fsum, which is monotone, so the float is unchanged too.
+    """
+    if np.all(z > witness):
+        return f_minus_witness(book)
+    return value, witness
 
 
 def _min_cover(recs: np.ndarray):

@@ -7,17 +7,24 @@ the records-time clock (one row per record epoch).  Trials are addressed by
 function of the config: ensembles can run across any number of workers and
 still produce byte-identical output files.
 
-The engine filters each chunk of observations in two vectorized stages
+The engine filters each block of observations in two vectorized stages
 before touching the book. Stage 1 drops points whose coordinate sum is
 below the current smallest frontier sum (minus a safety margin much larger
 than any rounding error): such points are strictly dominated, because the
-smallest frontier sum only grows.  Stage 2 drops points some chunk-start
+smallest frontier sum only grows.  Stage 2 drops points some block-start
 record strictly dominates; domination survives record replacement, since a
 record's killer dominates everything the record dominated.  Survivors go
 through the exact sequential path one by one, and the skipped runs are
-absorbed in bulk (count, per-coordinate maxima, top sums).  Net effect:
-identical books and rows at any chunk size, at around two orders of
-magnitude less sequential work.
+absorbed in bulk (count, per-coordinate maxima, top sums).  Blocks hold at
+most as many observations as were seen before them (at least 64), so they
+double up to the chunk size and both filters work against recent records
+early on, when records are frequent.  Net effect: identical books and rows
+at any block size, at around two orders of magnitude less sequential work.
+
+The smallest frontier sum is kept incrementally with its witness, an
+optimal point of the record-setting region: a new record changes it only
+if the record strictly dominates the witness, and only then is the
+min-cover solved again (``frontier.f_minus_after_record``).
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .analytics import (
     normal_cdf,
     records_time_fplus_centering,
 )
-from .frontier import f_minus, f_plus
+from .frontier import f_minus_after_record, f_minus_witness, f_plus
 from .records import RecordBook, coord_sums
 from .rng import ObservationStream
 
@@ -56,6 +63,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+_FIRST_BLOCK = 64  # blocks start this small and double up to the chunk size
 _SUM_FILTER_MARGIN = 1e-9  # dwarfs rounding error in any realistic sum
 
 
@@ -183,12 +191,12 @@ def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
     book = RecordBook(cfg.d, top_capacity=cfg.top_m)
     grid = cfg.grid
     rows: list[CheckpointRow] = []
-    fmin = 0.0
+    fmin, witness = f_minus_witness(book)
     gi = 0
     pos = 0
     while pos < cfg.n_max:
         target = grid[gi] if gi < len(grid) else cfg.n_max
-        take = min(chunk, target - pos)
+        take = min(chunk, target - pos, max(pos, _FIRST_BLOCK))
         pts = stream.take(take)
         sums = coord_sums(pts)
         cand = np.nonzero(sums >= fmin - _SUM_FILTER_MARGIN)[0]
@@ -200,7 +208,7 @@ def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
                 book.absorb_nonrecords(pts[prev:i], sums[prev:i])
             out = book._observe_raw(pts[i], float(sums[i]))
             if out.is_record:
-                fmin = f_minus(book)
+                fmin, witness = f_minus_after_record(book, pts[i], fmin, witness)
                 if cfg.records_time:
                     rows.append(_make_row(cfg, trial, "rec", book, fmin))
             prev = i + 1

@@ -32,12 +32,6 @@ __all__ = [
     "coord_sums",
 ]
 
-# Selftest fault hook: when set, the incremental dominance comparison is
-# deliberately broken (strict > becomes >=) so tie handling goes wrong while
-# generic random data still passes. The rebuild oracle never consults this.
-_DOMINANCE_FAULT = False
-
-
 def coord_sums(arr: np.ndarray) -> np.ndarray:
     """Row sums of a (k, d) coordinate array.
 
@@ -121,8 +115,8 @@ def strictly_dominates(a, b) -> bool:
 
 def _strict_gt(x, y):
     # Elementwise strict comparison used by every incremental dominance test.
-    if _DOMINANCE_FAULT:
-        return x >= y
+    # Looked up by module name at each call, so the selftest can swap in a
+    # broken version; the rebuild oracle has its own comparison.
     return x > y
 
 
@@ -299,12 +293,12 @@ class RecordBook:
 
     def _push_top(self, s: float):
         top = self._top
-        if top.size < self.top_capacity:
-            idx = np.searchsorted(-top, -s, side="right")
-            self._top = np.insert(top, idx, s)
-        elif s > top[-1]:
-            idx = np.searchsorted(-top, -s, side="right")
-            self._top = np.insert(top, idx, s)[: self.top_capacity]
+        full = top.size >= self.top_capacity
+        if full and not s > top[-1]:
+            return
+        idx = int(np.searchsorted(-top, -s, side="right"))
+        tail = top[idx:-1] if full else top[idx:]
+        self._top = np.concatenate((top[:idx], (s,), tail))
 
     def _merge_top(self, sums: np.ndarray):
         merged = np.concatenate([self._top, sums])
@@ -364,8 +358,6 @@ def rebuild_oracle(points: Sequence | Iterable, d: int | None = None) -> RecordB
     n, dim = arr.shape
     if d is not None and dim != d:
         raise ValueError(f"dimension mismatch: expected {d}, got {dim}")
-    for row in arr:
-        _as_coords(row, dim)
 
     # dom[i, k] true iff point i strictly exceeds point k coordinatewise
     dom = np.all(arr[:, None, :] > arr[None, :, :], axis=2)

@@ -119,10 +119,11 @@ def test_selftest_clean(capsys):
 
 
 def test_selftest_fault_injection_flag(capsys):
+    strict_gt = records._strict_gt
     assert main(["selftest", "--inject-fault"]) == 1
     captured = capsys.readouterr()
     assert "record-dominance" in captured.err  # failing suite named on stderr
-    assert records._DOMINANCE_FAULT is False  # hook restored
+    assert records._strict_gt is strict_gt  # original comparison restored
 
 
 def test_selftest_fault_injection_env():

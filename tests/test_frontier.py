@@ -14,6 +14,7 @@ from paretorecords.frontier import (
     _staircase,
     bhat,
     f_minus,
+    f_minus_after_record,
     f_minus_bruteforce,
     f_minus_candidate_grid,
     f_minus_witness,
@@ -110,6 +111,27 @@ def test_witness_properties():
                 # backing it off violates that record's covering constraint
                 assert np.any(recs[:, j] == w[j])
                 assert np.any((recs[:, j] <= w[j]) & (recs[:, j] > w[j] - eps))
+
+
+def test_short_circuit_matches_full_solve():
+    # the kept (value, witness) must equal a fresh solve after every record,
+    # on continuous data and on tie-heavy integer data
+    rng = np.random.default_rng(1901)
+    for d in (1, 2, 3, 4):
+        for ties in (False, True):
+            for _ in range(8):
+                pts = rng.exponential(size=(int(rng.integers(1, 150)), d))
+                if ties:
+                    pts = np.ceil(2.0 * pts)
+                book = RecordBook(d)
+                value, w = f_minus_witness(book)
+                for row in pts:
+                    if not book.observe(row).is_record:
+                        continue
+                    value, w = f_minus_after_record(book, row, value, w)
+                    assert value == f_minus(book)
+                    assert in_rs(book, w)
+                    assert math.fsum(w.tolist()) == value
 
 
 def test_in_rs_cases():

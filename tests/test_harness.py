@@ -11,6 +11,7 @@ from paretorecords.analytics import (
     mean_records,
     records_time_fplus_centering,
 )
+from paretorecords.frontier import f_minus
 from paretorecords.harness import (
     CheckpointRow,
     ExperimentConfig,
@@ -78,6 +79,22 @@ def test_trial_determinism_and_chunk_invariance():
     assert serialize(_simulate(cfg, 2, chunk=1 << 16)) == base
     # a different trial index gives a different trajectory
     assert serialize(run_trial(cfg, 3)) != base
+
+
+def test_records_time_f_minus_matches_full_solves():
+    # one point at a time through a plain book, a full solve after every
+    # record: the trial's records-time f_minus column must match bitwise
+    for d, n_max in ((2, 3000), (3, 2000), (4, 600)):
+        cfg = ExperimentConfig(d=d, n_max=n_max, master_seed=23 + d,
+                               records_time=True, top_m=4)
+        stream = ObservationStream(cfg.master_seed, 1, d)
+        book = RecordBook(d, top_capacity=cfg.top_m)
+        want = []
+        for row in stream.take(n_max):
+            if book.observe(row).is_record:
+                want.append(f_minus(book))
+        got = [r.f_minus for r in run_trial(cfg, 1) if r.clock == "rec"]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_row_invariants():
