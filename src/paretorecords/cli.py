@@ -183,6 +183,8 @@ def _need(args, name: str, cast):
     val = getattr(args, name.replace("-", "_"), None)
     if val is None:
         raise ValueError(f"exact op {args.op!r} requires --{name}")
+    if not math.isfinite(val):
+        raise ValueError(f"--{name} must be finite, got {val}")
     if cast is int and float(val) != int(val):
         raise ValueError(f"--{name} must be an integer for op {args.op!r}, got {val}")
     return cast(val)

@@ -15,10 +15,13 @@ the per-dimension maxima of the blocked coordinates.  So
     f_minus = min over assignments sigma: records -> dims
               of sum_j max{ z_j : sigma(z) = j }   (empty max = 0).
 
-Dimension 2 admits an O(r log r) corner sweep along the record staircase;
-higher dimensions use branch and bound over assignments.  Every route sums
-per-dimension maxima with math.fsum (correctly rounded, order independent),
-which is what makes the independent routes agree bitwise, not just roughly.
+The minimum is attained at a minimal point ("corner") of the region, and
+every corner is such a cap vector.  ``RegionCorners`` keeps the corners and
+updates them record by record, in every dimension, the way local upper
+bounds are updated in multiobjective search (Klamroth, Lacour &
+Vanderpooten, EJOR 245, 2015).  Sums are rounded with math.fsum (correctly
+rounded, order independent), which is what makes it agree bitwise with the
+enumeration oracles, not just roughly.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ __all__ = [
     "f_plus",
     "f_minus",
     "f_minus_witness",
-    "f_minus_after_record",
+    "RegionCorners",
     "f_minus_bruteforce",
     "f_minus_candidate_grid",
     "in_rs",
@@ -105,114 +108,91 @@ def f_plus(book: RecordBook) -> float:
 
 def f_minus(book: RecordBook) -> float:
     """Smallest coordinate sum over the frontier, exactly."""
-    if book.n == 0:
-        return 0.0
-    value, _ = _min_cover(book.record_coords)
-    return value
+    return RegionCorners.of(book).value
 
 
 def f_minus_witness(book: RecordBook):
-    """(f_minus, witness): the witness is an optimal-cover point in the
-    record-setting region whose coordinate sum equals f_minus."""
-    if book.n == 0:
-        return 0.0, np.zeros(book.d)
-    return _min_cover(book.record_coords)
+    """(f_minus, witness): the witness is a corner of the record-setting
+    region whose coordinate sum equals f_minus."""
+    corners = RegionCorners.of(book)
+    return corners.value, corners.witness()
 
 
-def f_minus_after_record(book: RecordBook, z, value: float, witness: np.ndarray):
-    """(f_minus, witness) after the new record ``z`` joined ``book``.
+class RegionCorners:
+    """The minimal points ("corners") of the record-setting region, kept
+    up to date record by record.
 
-    ``(value, witness)`` is the pair from before ``z``.  It is returned as is
-    unless ``z`` strictly dominates the witness (``z_j > w_j`` for every j);
-    otherwise the min-cover is solved again with :func:`f_minus_witness`.
+    ``points`` holds the corners as a (k, d) array and ``sums`` their
+    coordinate sums rounded with math.fsum.  With no records the region is
+    the whole orthant and its one corner is the origin.  ``value`` (the
+    smallest sum) is ``f_minus`` and ``witness`` is a corner attaining it.
+    They match the min-cover formula bit for bit: every corner is the cap
+    vector of some assignment, every cap vector lies above some corner,
+    and fsum is monotone, so both minima are the same correctly rounded
+    sum of the same coordinates.
 
-    Why this is exact, ties included: the witness lies in the old region.
-    If ``z`` does not strictly dominate it, no record of the new book does
-    (the others are old records), so the witness stays in the new region
-    and ``f_minus`` cannot exceed its sum.  The new region is a subset of
-    the old one, so ``f_minus`` cannot fall either.  Every route rounds the
-    sum with fsum, which is monotone, so the float is unchanged too.
+    ``add(z)`` applies a new record z.  The region loses exactly the points
+    z strictly dominates, so:
+
+    * a corner z does not strictly dominate stays, and stays minimal,
+      because the region only shrinks;
+    * a dead corner g (g < z) is replaced by candidates: g with coordinate
+      j raised to z_j, one per dimension j.  Every new corner is such a
+      candidate: it lies above a dead corner g and blocks z in some
+      coordinate j, so it lies at or above that candidate, which is in the
+      new region, and minimality makes the two equal.
+    * a candidate is kept unless another point of the new region lies at
+      or below it.  Candidates of different j never do: c' of block k has
+      c'_k = z_k > c_k.  Nor are two candidates of one block equal, since
+      their dead corners would then differ only in coordinate j, and one
+      would dominate the other.  So only distinct candidates of the same
+      block and surviving corners p compete, and a survivor p <= c must
+      tie z in coordinate j (p is not below z), so only survivors with
+      p_j == z_j need checking.  On continuous data that check never runs.
+
+    Records killed later need no handling: their killer's lower orthant
+    contains theirs, so the region is the same.  A non-record z kills no
+    corner, so adding it changes nothing.
     """
-    if np.all(z > witness):
-        return f_minus_witness(book)
-    return value, witness
 
+    def __init__(self, d: int):
+        self.points = np.zeros((1, d))
+        self.sums = np.zeros(1)
+        self._raise = np.eye(d, dtype=bool)[:, None, :]  # block j raises x_j
 
-def _min_cover(recs: np.ndarray):
-    d = recs.shape[1]
-    if d == 1:
-        j = int(np.argmax(recs[:, 0]))
-        return float(recs[j, 0]), recs[j].copy()
-    if d == 2:
-        return _staircase(recs)
-    return _branch_and_bound(recs)
+    @classmethod
+    def of(cls, book: RecordBook) -> "RegionCorners":
+        corners = cls(book.d)
+        for z in book.record_coords:
+            corners.add(z)
+        return corners
 
+    @property
+    def value(self) -> float:
+        return float(self.sums.min())
 
-def _staircase(recs: np.ndarray):
-    # corners of the d=2 record staircase: split records into an x1-prefix
-    # (blocked in dim 1) and the rest (blocked in dim 2). The suffix max of
-    # x2 keeps the sweep correct when several records share an x1 value.
-    pts = sorted(map(tuple, recs.tolist()))
-    r = len(pts)
-    sufmax = [0.0] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        sufmax[i] = max(pts[i][1], sufmax[i + 1])
-    best = math.inf
-    best_corner = None
-    for i in range(r + 1):
-        a = pts[i - 1][0] if i > 0 else 0.0
-        b = sufmax[i]
-        cost = math.fsum((a, b))
-        if cost < best:
-            best = cost
-            best_corner = (a, b)
-    return best, np.array(best_corner)
+    def witness(self) -> np.ndarray:
+        return self.points[int(np.argmin(self.sums))].copy()
 
-
-def _branch_and_bound(recs: np.ndarray):
-    d = recs.shape[1]
-    colmax = recs.max(axis=0)
-    # initial incumbent: put every record in one dimension
-    j0 = int(np.argmin(colmax))
-    best = [float(colmax[j0]), None]
-    best[1] = np.zeros(d)
-    best[1][j0] = colmax[j0]
-    # expensive records first: large min coordinate forces cost wherever it goes
-    order = np.argsort(-recs.min(axis=1), kind="stable")
-    rows = [tuple(recs[i]) for i in order]
-    r = len(rows)
-    cur = [0.0] * d
-
-    def walk(k: int):
-        while k < r:
-            row = rows[k]
-            if any(cur[j] >= row[j] for j in range(d)):
-                k += 1  # already covered, no branching needed
-                continue
-            children = []
-            for j in range(d):
-                saved = cur[j]
-                cur[j] = row[j]
-                cost = math.fsum(cur)
-                cur[j] = saved
-                if cost < best[0]:  # value-safe: fsum is monotone per slot
-                    children.append((cost, j))
-            children.sort()
-            for _, j in children:
-                saved = cur[j]
-                cur[j] = row[j]
-                # re-check: an earlier sibling may have lowered the incumbent
-                if math.fsum(cur) < best[0]:
-                    walk(k + 1)
-                cur[j] = saved
+    def add(self, z) -> None:
+        z = np.asarray(z, dtype=np.float64)
+        dead = (self.points < z).all(axis=1)
+        if not dead.any():
             return
-        cost = math.fsum(cur)
-        if cost < best[0]:
-            best[0] = cost
-            best[1] = np.array(cur)
-
-    walk(0)
-    return best[0], best[1]
+        live = ~dead
+        survivors = self.points[live]
+        cand = np.where(self._raise, z, self.points[dead])  # (d, dead, d)
+        # keep a candidate iff it is the only one of its block at or below it
+        below = (cand[:, :, None, :] <= cand[:, None, :, :]).all(axis=3)
+        cand = cand[below.sum(axis=1) == 1]
+        ties = survivors[(survivors == z).any(axis=1)]
+        if len(ties):
+            covered = (ties[:, None, :] <= cand[None, :, :]).all(axis=2)
+            cand = cand[~covered.any(axis=0)]
+        self.points = np.concatenate([survivors, cand])
+        self.sums = np.concatenate(
+            [self.sums[live], [math.fsum(c) for c in cand.tolist()]]
+        )
 
 
 # -- enumeration oracles ------------------------------------------------------

@@ -21,10 +21,9 @@ double up to the chunk size and both filters work against recent records
 early on, when records are frequent.  Net effect: identical books and rows
 at any block size, at around two orders of magnitude less sequential work.
 
-The smallest frontier sum is kept incrementally with its witness, an
-optimal point of the record-setting region: a new record changes it only
-if the record strictly dominates the witness, and only then is the
-min-cover solved again (``frontier.f_minus_after_record``).
+The smallest frontier sum comes from the corners of the record-setting
+region (``frontier.RegionCorners``), which each trial updates record by
+record: a new record replaces only the corners it strictly dominates.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .analytics import (
     normal_cdf,
     records_time_fplus_centering,
 )
-from .frontier import f_minus_after_record, f_minus_witness, f_plus
+from .frontier import RegionCorners, f_plus
 from .records import RecordBook, coord_sums
 from .rng import ObservationStream
 
@@ -191,7 +190,7 @@ def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
     book = RecordBook(cfg.d, top_capacity=cfg.top_m)
     grid = cfg.grid
     rows: list[CheckpointRow] = []
-    fmin, witness = f_minus_witness(book)
+    corners = RegionCorners(cfg.d)
     gi = 0
     pos = 0
     while pos < cfg.n_max:
@@ -199,7 +198,7 @@ def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
         take = min(chunk, target - pos, max(pos, _FIRST_BLOCK))
         pts = stream.take(take)
         sums = coord_sums(pts)
-        cand = np.nonzero(sums >= fmin - _SUM_FILTER_MARGIN)[0]
+        cand = np.nonzero(sums >= corners.value - _SUM_FILTER_MARGIN)[0]
         if cand.size:
             cand = cand[~book.dominated_by_current(pts[cand])]
         prev = 0
@@ -208,15 +207,15 @@ def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
                 book.absorb_nonrecords(pts[prev:i], sums[prev:i])
             out = book._observe_raw(pts[i], float(sums[i]))
             if out.is_record:
-                fmin, witness = f_minus_after_record(book, pts[i], fmin, witness)
+                corners.add(pts[i])
                 if cfg.records_time:
-                    rows.append(_make_row(cfg, trial, "rec", book, fmin))
+                    rows.append(_make_row(cfg, trial, "rec", book, corners.value))
             prev = i + 1
         if prev < take:
             book.absorb_nonrecords(pts[prev:take], sums[prev:take])
         pos += take
         if gi < len(grid) and pos == grid[gi]:
-            rows.append(_make_row(cfg, trial, "obs", book, fmin))
+            rows.append(_make_row(cfg, trial, "obs", book, corners.value))
             gi += 1
     return rows
 
@@ -438,6 +437,10 @@ def ks_statistic(samples, cdf, loc: float = 0.0, scale: float = 1.0) -> float:
         raise ValueError("ks_statistic needs at least one sample")
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
+    if not math.isfinite(loc):
+        raise ValueError(f"loc must be finite, got {loc!r}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be a finite positive number, got {scale!r}")
     if callable(cdf):
         ref = cdf
     else:

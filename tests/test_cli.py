@@ -105,6 +105,9 @@ def test_exact_argument_errors(capsys):
     assert "--d" in capsys.readouterr().err
     assert main(["exact", "--op", "p-record", "--n", "10.5", "--d", "2"]) == 2
     capsys.readouterr()
+    for bad in ("inf", "nan"):
+        assert main(["exact", "--op", "p-record", "--n", bad, "--d", "2"]) == 2
+        assert "finite" in capsys.readouterr().err
     res = run_cli("exact", "--op", "no-such-op", "--n", "1")
     assert res.returncode == 2
 

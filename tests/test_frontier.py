@@ -9,12 +9,9 @@ from paretorecords import RecordBook, rebuild_oracle
 from paretorecords.frontier import (
     FrontierSummary,
     IntegerGridPoint,
-    _branch_and_bound,
-    _min_cover,
-    _staircase,
+    RegionCorners,
     bhat,
     f_minus,
-    f_minus_after_record,
     f_minus_bruteforce,
     f_minus_candidate_grid,
     f_minus_witness,
@@ -80,18 +77,8 @@ def test_route_agreement_random():
         d = int(rng.integers(2, 5))
         r = int(rng.integers(1, 10))
         recs = random_record_set(rng, r, d, integers=(t % 3 == 0))
-        main, _ = _min_cover(recs)
+        main = f_minus(book_of(recs))
         assert main == f_minus_bruteforce(recs) == f_minus_candidate_grid(recs)
-
-
-def test_staircase_equals_branch_and_bound():
-    # the sweep demands identical exact values on 1000 random 2-d books
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        n = int(rng.integers(1, 80))
-        book = rebuild_oracle(rng.exponential(size=(n, 2)))
-        recs = book.record_coords
-        assert _staircase(recs)[0] == _branch_and_bound(recs)[0]
 
 
 def test_witness_properties():
@@ -113,25 +100,53 @@ def test_witness_properties():
                 assert np.any((recs[:, j] <= w[j]) & (recs[:, j] > w[j] - eps))
 
 
-def test_short_circuit_matches_full_solve():
-    # the kept (value, witness) must equal a fresh solve after every record,
-    # on continuous data and on tie-heavy integer data
+def grid_corners(recs):
+    """Minimal points of the record-setting region, straight from the
+    definition: scan the grid of record coordinates (and 0) and keep each
+    in-region point from which stepping any positive coordinate down to
+    the next grid value leaves the region."""
+    d = recs.shape[1]
+    axes = [np.unique(np.concatenate([[0.0], recs[:, j]])) for j in range(d)]
+    ranges = np.meshgrid(*[np.arange(a.size) for a in axes], indexing="ij")
+    idx = np.stack([m.ravel() for m in ranges], axis=1)
+
+    def inside(ix):
+        x = np.stack([axes[j][ix[:, j]] for j in range(d)], axis=1)
+        return ~np.any(np.all(x[:, None, :] < recs[None, :, :], axis=2), axis=1)
+
+    minimal = inside(idx)
+    for j in range(d):
+        down = idx.copy()
+        down[:, j] = np.maximum(down[:, j] - 1, 0)
+        minimal &= ~((idx[:, j] > 0) & inside(down))
+    pts = np.stack([axes[j][idx[minimal, j]] for j in range(d)], axis=1)
+    return set(map(tuple, pts.tolist()))
+
+
+def test_region_corners_match_grid_minima():
+    # after every record the kept corners are exactly the region's minimal
+    # points, each once, with fsum sums; tie-heavy integer data exercises
+    # surviving corners that tie the new record in one coordinate
     rng = np.random.default_rng(1901)
     for d in (1, 2, 3, 4):
         for ties in (False, True):
-            for _ in range(8):
-                pts = rng.exponential(size=(int(rng.integers(1, 150)), d))
+            for _ in range(6):
+                n = int(rng.integers(1, 60 if d == 4 else 150))
+                pts = rng.exponential(size=(n, d))
                 if ties:
                     pts = np.ceil(2.0 * pts)
                 book = RecordBook(d)
-                value, w = f_minus_witness(book)
+                corners = RegionCorners(d)
+                assert corners.points.tolist() == [[0.0] * d]
                 for row in pts:
                     if not book.observe(row).is_record:
                         continue
-                    value, w = f_minus_after_record(book, row, value, w)
-                    assert value == f_minus(book)
-                    assert in_rs(book, w)
-                    assert math.fsum(w.tolist()) == value
+                    corners.add(row)
+                    got = list(map(tuple, corners.points.tolist()))
+                    assert len(got) == len(set(got))
+                    assert set(got) == grid_corners(book.record_coords)
+                    assert corners.sums.tolist() == [math.fsum(p) for p in got]
+                    assert corners.value == f_minus(book)
 
 
 def test_in_rs_cases():

@@ -247,6 +247,12 @@ def test_ks_worked_examples():
         ks_statistic([0.5], "cauchy")
     with pytest.raises(ValueError):
         ks_statistic([math.nan], "uniform")
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ks_statistic([0.5], "uniform", scale=scale)
+    for loc in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ks_statistic([0.5], "uniform", loc=loc)
     # tags agree with hand-built callables, loc/scale shifts
     xs = [0.1, 0.9, 2.5]
     assert ks_statistic(xs, "exponential") == ks_statistic(
