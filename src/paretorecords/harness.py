@@ -5,7 +5,9 @@ checkpoint row on the observation clock (fixed n grid) and, optionally, on
 the records-time clock (one row per record epoch).  Trials are addressed by
 (master_seed, trial) through counter-based streams, so every row is a pure
 function of the config: ensembles can run across any number of workers and
-still produce byte-identical output files.
+still produce byte-identical output files.  The CSV columns, writer, reader
+and aggregated columns all follow ``CheckpointRow``'s fields in order; each
+file is renamed into place once complete, and ``summary.json`` comes last.
 
 The engine filters each block of observations in two vectorized stages
 before touching the book. Stage 1 drops points whose coordinate sum is
@@ -31,9 +33,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -83,6 +89,10 @@ def geometric_grid(n_max: int, ratio: float = 1.2) -> tuple:
     return tuple(v for v in grid if v <= n_max)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one ensemble; everything downstream derives from it."""
@@ -100,15 +110,15 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("d", "n_max", "trials", "top_m"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.master_seed, (int, np.integer)) or not (
-            0 <= self.master_seed < 2**64
-        ):
+        if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed!r}")
         if not self.checkpoint_ratio > 1.0:
             raise ValueError("checkpoint_ratio must exceed 1")
         if self.checkpoints is not None:
+            if not all(map(_is_int, self.checkpoints)):
+                raise ValueError(f"checkpoints must be integers, got {self.checkpoints!r}")
             pts = sorted(set(int(c) for c in self.checkpoints))
             if not pts:
                 raise ValueError("empty checkpoint grid")
@@ -148,9 +158,6 @@ def _make_row(cfg: ExperimentConfig, trial: int, clock: str, book: RecordBook, f
     fp = f_plus(book)
     width = fp - fmin
     n, m, d = book.n, book.R, cfg.d
-    top = book.top_sums
-    pad = np.full(cfg.top_m, math.nan)
-    pad[: top.size] = top
     norm_fplus = norm_width = norm_r = math.nan
     if n >= 3:
         log_n = math.log(n)
@@ -163,9 +170,7 @@ def _make_row(cfg: ExperimentConfig, trial: int, clock: str, book: RecordBook, f
         norm_width = width / math.log(m)
         if d >= 3:
             norm_fplus = fp - records_time_fplus_centering(m, d)
-    strip = math.nan
-    if cfg.strip_check and d >= 2 and n >= 16:
-        strip = strip_coverage(book)
+    strip = strip_coverage(book) if cfg.strip_check and d >= 2 and n >= 16 else math.nan
     return CheckpointRow(
         trial=trial,
         clock=clock,
@@ -177,7 +182,7 @@ def _make_row(cfg: ExperimentConfig, trial: int, clock: str, book: RecordBook, f
         f_plus=fp,
         width=width,
         dim_max_min=float(book.dim_max.min()),
-        bhat=tuple(pad.tolist()),
+        bhat=tuple(book.top_sums.tolist()) + (math.nan,) * (cfg.top_m - book.top_sums.size),
         norm_fplus=norm_fplus,
         norm_width=norm_width,
         norm_r=norm_r,
@@ -222,7 +227,7 @@ def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All checkpoint rows of one trial; deterministic in (cfg, trial)."""
-    if not isinstance(trial, (int, np.integer)) or trial < 0:
+    if not _is_int(trial) or trial < 0:
         raise ValueError(f"trial must be a nonnegative integer, got {trial!r}")
     return _simulate(cfg, int(trial))
 
@@ -233,112 +238,111 @@ def _f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _header(cfg: ExperimentConfig) -> list:
-    cols = [
-        "trial", "clock", "n", "m", "r", "beta",
-        "f_minus", "f_plus", "width", "dim_max_min",
-    ]
-    cols += [f"bhat_{k}" for k in range(1, cfg.top_m + 1)]
-    cols += ["norm_fplus", "norm_width", "norm_r"]
-    if cfg.strip_check:
-        cols.append("strip_cov")
+# The rows CSV holds CheckpointRow's fields, (name, type) here, in order: bhat
+# spans bhat_1..bhat_K, and strip_cov is a column only with the strip check.
+_TYPES = get_type_hints(CheckpointRow)
+_CSV_FIELDS = {strip: tuple((f.name, _TYPES[f.name]) for f in fields(CheckpointRow)
+                            if f.name != "strip_cov" or strip) for strip in (False, True)}
+_WRITE = {int: str, str: str, float: _f17}
+_READ = {int: int, str: str, float: float}
+
+
+def _header(top_m: int, strip_check: bool) -> list:
+    cols = []
+    for name, kind in _CSV_FIELDS[strip_check]:
+        cols += [f"bhat_{k}" for k in range(1, top_m + 1)] if kind is tuple else [name]
     return cols
 
 
 def _row_fields(row: CheckpointRow, strip_check: bool) -> list:
-    out = [
-        str(row.trial), row.clock, str(row.n), str(row.m), str(row.r), str(row.beta),
-        _f17(row.f_minus), _f17(row.f_plus), _f17(row.width), _f17(row.dim_max_min),
-    ]
-    out += [_f17(v) for v in row.bhat]
-    out += [_f17(row.norm_fplus), _f17(row.norm_width), _f17(row.norm_r)]
-    if strip_check:
-        out.append(_f17(row.strip_cov))
+    out = []
+    for name, kind in _CSV_FIELDS[strip_check]:
+        value = getattr(row, name)
+        out += map(_f17, value) if kind is tuple else [_WRITE[kind](value)]
     return out
 
 
+@contextmanager
+def _atomic_open(path: Path):
+    """A file beside ``path`` that replaces it once the block completes."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_rows(path: Path, rows: list, cfg: ExperimentConfig) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(_header(cfg))
+        writer.writerow(_header(cfg.top_m, cfg.strip_check))
         for row in rows:
             writer.writerow(_row_fields(row, cfg.strip_check))
 
 
-_AGG_COLS = [
-    "m", "r", "beta", "f_minus", "f_plus", "width", "dim_max_min",
-    "norm_fplus", "norm_width", "norm_r", "strip_cov",
-]
-_AGG_STATS = ["mean", "sd", "median", "q10", "q90", "min", "max", "count"]
-
-
-def _agg_value(stat: str, col: np.ndarray) -> float:
-    finite = col[np.isfinite(col)]
-    if stat == "count":
-        return float(finite.size)
-    if finite.size == 0:
-        return math.nan
-    if stat == "mean":
-        return float(finite.mean())
-    if stat == "sd":
-        return float(finite.std(ddof=1)) if finite.size > 1 else math.nan
-    if stat == "median":
-        return float(np.median(finite))
-    if stat == "q10":
-        return float(np.quantile(finite, 0.10))
-    if stat == "q90":
-        return float(np.quantile(finite, 0.90))
-    if stat == "min":
-        return float(finite.min())
-    return float(finite.max())
+# aggregated: every number a row holds but its trial index, n and the bhat tuple
+_AGG_COLS = [name for name, kind in _CSV_FIELDS[True] if kind in (int, float)
+             and name not in ("trial", "n")]
+# each statistic reduces a group's finite values; all but the count are NaN
+# when a group has none
+_AGG_STATS = {
+    "mean": np.mean,
+    "sd": lambda x: x.std(ddof=1) if x.size > 1 else math.nan,
+    "median": np.median,
+    "q10": lambda x: np.quantile(x, 0.10),
+    "q90": lambda x: np.quantile(x, 0.90),
+    "min": np.min,
+    "max": np.max,
+    "count": np.size,
+}
 
 
 def _write_aggregates(path: Path, rows: list, key_attr: str) -> None:
-    """One output row per (checkpoint value, statistic), trial-order reduce."""
-    keys = sorted(set(getattr(r, key_attr) for r in rows))
-    with open(path, "w", newline="") as fh:
+    """One output row per (key value, statistic), keys ascending; each group
+    is reduced in trial order."""
+    keys = np.array([getattr(r, key_attr) for r in rows], dtype=np.int64)
+    table = np.array([[getattr(r, c) for c in _AGG_COLS] for r in rows],
+                     dtype=np.float64).reshape(len(rows), len(_AGG_COLS))
+    order = np.argsort(keys, kind="stable")
+    keys, table = keys[order], table[order]
+    uniq, starts = np.unique(keys, return_index=True)
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow([key_attr, "statistic"] + _AGG_COLS)
-        for key in keys:
-            group = [r for r in rows if getattr(r, key_attr) == key]
-            data = {
-                c: np.array([float(getattr(r, c)) for r in group]) for c in _AGG_COLS
-            }
-            for stat in _AGG_STATS:
-                writer.writerow(
-                    [str(key), stat] + [_f17(_agg_value(stat, data[c])) for c in _AGG_COLS]
-                )
+        for key, block in zip(uniq.tolist(), np.split(table, starts[1:])):
+            finite = [col[np.isfinite(col)] for col in block.T]
+            for stat, reduce in _AGG_STATS.items():
+                cells = [reduce(x) if x.size or stat == "count" else math.nan for x in finite]
+                writer.writerow([str(key), stat] + [_f17(v) for v in cells])
 
 
 def load_rows(path) -> list:
-    """Read a rows CSV back into CheckpointRow objects (17g round-trips)."""
+    """Read a rows CSV back into CheckpointRow objects (17g round-trips).
+
+    Raises ``ValueError`` naming the file if it is empty, if its header is
+    not the schema's, or if a row does not parse or has the wrong length.
+    """
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        bhat_cols = [i for i, name in enumerate(header) if name.startswith("bhat_")]
-        idx = {name: i for i, name in enumerate(header)}
-        has_strip = "strip_cov" in idx
+        header = next(reader, [])
+        strip_check = header[-1:] == ["strip_cov"]
+        schema = _CSV_FIELDS[strip_check]
+        top_m = len(header) - len(schema) + 1
+        if header != _header(top_m, strip_check):
+            raise ValueError(f"rows file {path} is empty or lacks the CheckpointRow header")
         for rec in reader:
-            out.append(
-                CheckpointRow(
-                    trial=int(rec[idx["trial"]]),
-                    clock=rec[idx["clock"]],
-                    n=int(rec[idx["n"]]),
-                    m=int(rec[idx["m"]]),
-                    r=int(rec[idx["r"]]),
-                    beta=int(rec[idx["beta"]]),
-                    f_minus=float(rec[idx["f_minus"]]),
-                    f_plus=float(rec[idx["f_plus"]]),
-                    width=float(rec[idx["width"]]),
-                    dim_max_min=float(rec[idx["dim_max_min"]]),
-                    bhat=tuple(float(rec[i]) for i in bhat_cols),
-                    norm_fplus=float(rec[idx["norm_fplus"]]),
-                    norm_width=float(rec[idx["norm_width"]]),
-                    norm_r=float(rec[idx["norm_r"]]),
-                    strip_cov=float(rec[idx["strip_cov"]]) if has_strip else math.nan,
-                )
-            )
+            try:
+                if len(rec) != len(header):
+                    raise ValueError(f"{len(rec)} fields, expected {len(header)}")
+                cells = iter(rec)
+                values = [tuple(map(float, islice(cells, top_m))) if kind is tuple
+                          else _READ[kind](next(cells)) for _, kind in schema]
+            except ValueError as exc:
+                raise ValueError(f"rows file {path}, line {reader.line_num}: {exc}") from None
+            out.append(CheckpointRow(*values))
     return out
 
 
@@ -360,9 +364,13 @@ def run_ensemble(cfg: ExperimentConfig, out_dir, threads: int = 1) -> EnsembleRe
     ``threads`` is the worker count (processes under the hood); any value
     yields byte-identical outputs because trials are reduced in trial order
     and each trial's randomness is addressed, not shared.
+
+    A directory holding ``summary.json`` holds one complete run: the summary
+    is removed first and written last, each file is renamed into place once
+    complete, and outputs this config does not write are removed.
     """
     out = Path(out_dir)
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
+    if not _is_int(threads) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
     try:
         out.mkdir(exist_ok=True)
@@ -375,44 +383,35 @@ def run_ensemble(cfg: ExperimentConfig, out_dir, threads: int = 1) -> EnsembleRe
     else:
         with ProcessPoolExecutor(max_workers=int(threads)) as pool:
             chunksize = max(1, cfg.trials // (int(threads) * 8))
-            per_trial = list(pool.map(_worker, [(cfg, t) for t in trials], chunksize=chunksize))
+            per_trial = list(pool.map(run_trial, [cfg] * cfg.trials, trials, chunksize=chunksize))
 
-    obs_rows = [row for rows in per_trial for row in rows if row.clock == "obs"]
-    rec_rows = [row for rows in per_trial for row in rows if row.clock == "rec"]
-
+    rows = {clock: [row for trial_rows in per_trial for row in trial_rows if row.clock == clock]
+            for clock in ("obs", "rec")}
+    summary_path = out / "summary.json"
+    summary_path.unlink(missing_ok=True)
     files = {}
-    obs_path = out / "rows_obs.csv"
-    _write_rows(obs_path, obs_rows, cfg)
-    files["rows_obs"] = str(obs_path)
-    agg_obs = out / "aggregate_obs.csv"
-    _write_aggregates(agg_obs, obs_rows, "n")
-    files["aggregate_obs"] = str(agg_obs)
-    if cfg.records_time:
-        rec_path = out / "rows_rec.csv"
-        _write_rows(rec_path, rec_rows, cfg)
-        files["rows_rec"] = str(rec_path)
-        agg_rec = out / "aggregate_rec.csv"
-        _write_aggregates(agg_rec, rec_rows, "m")
-        files["aggregate_rec"] = str(agg_rec)
+    for clock, key in (("obs", "n"), ("rec", "m")):
+        paths = {f"{kind}_{clock}": out / f"{kind}_{clock}.csv" for kind in ("rows", "aggregate")}
+        if clock == "rec" and not cfg.records_time:
+            for path in paths.values():
+                path.unlink(missing_ok=True)  # an earlier run's records-time files
+            continue
+        _write_rows(paths[f"rows_{clock}"], rows[clock], cfg)
+        _write_aggregates(paths[f"aggregate_{clock}"], rows[clock], key)
+        files.update((name, str(path)) for name, path in paths.items())
 
     summary = {
         "config": asdict(cfg),
         "grid": list(cfg.grid),
-        "rows_obs": len(obs_rows),
-        "rows_rec": len(rec_rows),
+        "rows_obs": len(rows["obs"]),
+        "rows_rec": len(rows["rec"]),
         "files": {key: Path(p).name for key, p in files.items()},
     }
-    summary_path = out / "summary.json"
-    with open(summary_path, "w") as fh:
+    with _atomic_open(summary_path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     files["summary"] = str(summary_path)
-    return EnsembleResult(cfg, out, obs_rows, rec_rows, files, summary)
-
-
-def _worker(args):
-    cfg, trial = args
-    return run_trial(cfg, trial)
+    return EnsembleResult(cfg, out, rows["obs"], rows["rec"], files, summary)
 
 
 # -- statistics ------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from paretorecords import analytics, records
 from paretorecords.cli import main
+from paretorecords.harness import ExperimentConfig, run_ensemble
 
 
 def run_cli(*argv):
@@ -71,6 +72,12 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad),
                  "--out-dir", str(tmp_path / "out2")]) == 2
     assert "walrus" in capsys.readouterr().err
+    # these used to run as the grid (2, 7) and as 1 trial
+    for key, value in (("checkpoints", [2.5, 7.9]), ("trials", True)):
+        bad.write_text(json.dumps({"d": 2, "n_max": 10, key: value}))
+        assert main(["simulate", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "out2")]) == 2
+        assert key in capsys.readouterr().err
     notjson = tmp_path / "not.json"
     notjson.write_text("{nope")
     assert main(["simulate", "--config", str(notjson),
@@ -228,6 +235,35 @@ def test_analyze_outputs(tmp_path, capsys):
 
     assert main(["analyze", "--in-dir", str(tmp_path / "nowhere")]) == 3
     assert "rows_obs.csv" in capsys.readouterr().err
+
+
+def test_analyze_damaged_rows_file(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "--d", "2", "--n-max", "300", "--trials", "2",
+                 "--seed", "4", "--threads", "1", "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    rows = run / "rows_obs.csv"
+    header, first = rows.read_bytes().splitlines(keepends=True)[:2]
+    damaged = {
+        "empty": b"",
+        "truncated": header + first[: len(first) // 2],
+        "foreign header": header.replace(b"norm_r", b"norm_q") + first,
+    }
+    for case, data in damaged.items():
+        rows.write_bytes(data)
+        assert main(["analyze", "--in-dir", str(run)]) == 2, case
+        assert str(rows) in capsys.readouterr().err, case
+
+
+def test_stale_records_time_outputs_removed(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_ensemble(ExperimentConfig(d=2, n_max=2000, trials=2, master_seed=5,
+                                  records_time=True), out)
+    res = run_ensemble(ExperimentConfig(d=3, n_max=2000, trials=2, master_seed=6), out)
+    assert {p.name for p in out.iterdir()} == {Path(f).name for f in res.files.values()}
+    assert main(["analyze", "--in-dir", str(out), "--lil"]) == 0
+    text = capsys.readouterr().out
+    assert "obs windows" in text and "rec windows" not in text
 
 
 def test_threads_env_var(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,16 @@
 """Trial engine, ensemble outputs, and the harness statistics."""
 
+import importlib.util
+import json
 import math
+import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from paretorecords import harness
 from paretorecords.analytics import (
     fplus_centering,
     mean_records,
@@ -29,6 +34,10 @@ from paretorecords.records import RecordBook
 from paretorecords.rng import ObservationStream
 
 
+def tree_bytes(root: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
 def serialize(rows):
     # NaN-safe row comparison: 17g text round-trips floats exactly
     return [_row_fields(r, strip_check=True) for r in rows]
@@ -46,7 +55,7 @@ def test_geometric_grid():
         geometric_grid(100, ratio=1.0)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(d=0, n_max=10)
     with pytest.raises(ValueError):
@@ -63,10 +72,21 @@ def test_config_validation():
         ExperimentConfig(d=2, n_max=10, checkpoints=(5, 11))
     with pytest.raises(ValueError):
         ExperimentConfig(d=2, n_max=10, checkpoints=(0, 5))
-    cfg = ExperimentConfig(d=2, n_max=100, checkpoints=(50, 10, 50, 100))
+    # non-integral checkpoints used to be truncated: (2.5, 7.9) ran as (2, 7)
+    for bad in ((2.5, 7.9), (5, 7.0), (True, 5), ("5",)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(d=2, n_max=10, checkpoints=bad)
+    # bool is an int subclass: trials=True used to run as 1 trial
+    for name in ("d", "n_max", "trials", "top_m", "master_seed"):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{"d": 2, "n_max": 10, name: True})
+    cfg = ExperimentConfig(d=2, n_max=100, checkpoints=(50, 10, 50, np.int64(100)))
     assert cfg.grid == (10, 50, 100)
+    for trial in (-1, True):
+        with pytest.raises(ValueError):
+            run_trial(ExperimentConfig(d=2, n_max=10), trial)
     with pytest.raises(ValueError):
-        run_trial(ExperimentConfig(d=2, n_max=10), -1)
+        run_ensemble(ExperimentConfig(d=2, n_max=10), tmp_path, threads=True)
 
 
 def test_trial_determinism_and_chunk_invariance():
@@ -207,25 +227,104 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert "bhat_64" in header2  # default top capacity
 
 
-def test_aggregate_file_matches_rows(tmp_path):
-    cfg = ExperimentConfig(d=2, n_max=400, trials=6, master_seed=13,
-                           checkpoints=(100, 400))
-    res = run_ensemble(cfg, tmp_path / "agg")
-    lines = Path(res.files["aggregate_obs"]).read_text().splitlines()
-    header = lines[0].split(",")
+AGG_COLS = ["m", "r", "beta", "f_minus", "f_plus", "width", "dim_max_min",
+            "norm_fplus", "norm_width", "norm_r", "strip_cov"]
+AGG_STATS = ["mean", "sd", "median", "q10", "q90", "min", "max", "count"]
+
+
+def reference_aggregates(rows, key):
+    """Every (key, statistic) -> {column: value} cell, one plain numpy pass
+    per key over the rows in trial order; only finite values count."""
     table = {}
-    for line in lines[1:]:
-        parts = line.split(",")
-        table[(int(parts[0]), parts[1])] = dict(zip(header[2:], parts[2:]))
-    widths = np.array([r.width for r in res.obs_rows if r.n == 400])
-    assert len(widths) == 6
-    assert float(table[(400, "mean")]["width"]) == float(widths.mean())
-    assert float(table[(400, "min")]["width"]) == widths.min()
-    assert float(table[(400, "max")]["width"]) == widths.max()
-    assert float(table[(400, "count")]["width"]) == 6.0
-    assert float(table[(400, "sd")]["width"]) == float(widths.std(ddof=1))
-    assert float(table[(100, "median")]["r"]) == float(
-        np.median([r.r for r in res.obs_rows if r.n == 100]))
+    for k in sorted({getattr(r, key) for r in rows}):
+        group = [r for r in rows if getattr(r, key) == k]
+        for col in AGG_COLS:
+            x = np.array([float(getattr(r, col)) for r in group])
+            x = x[np.isfinite(x)]
+            stats = dict.fromkeys(AGG_STATS, math.nan)
+            stats["count"] = x.size
+            if x.size:
+                stats.update(mean=x.mean(), median=np.median(x), min=x.min(), max=x.max(),
+                             q10=np.quantile(x, 0.10), q90=np.quantile(x, 0.90))
+            if x.size > 1:
+                stats["sd"] = x.std(ddof=1)
+            for stat in AGG_STATS:
+                table.setdefault((k, stat), {})[col] = float(stats[stat])
+    return table
+
+
+def bits(table):
+    # NaN-safe exact comparison of every cell
+    return {cell: [struct.pack("<d", v) for v in cols.values()]
+            for cell, cols in table.items()}
+
+
+def test_aggregate_file_matches_rows(tmp_path):
+    # n = 1, 2 leave the obs norm columns all NaN, m = 1 the rec ones, and
+    # strip_cov is off: those cells must read count 0 and nan otherwise
+    cfg = ExperimentConfig(d=2, n_max=400, trials=6, master_seed=13,
+                           checkpoints=(1, 2, 100, 400), records_time=True)
+    res = run_ensemble(cfg, tmp_path / "agg")
+    for name, rows, key in (("aggregate_obs", res.obs_rows, "n"),
+                            ("aggregate_rec", res.rec_rows, "m")):
+        lines = Path(res.files[name]).read_text().splitlines()
+        assert lines[0].split(",") == [key, "statistic"] + AGG_COLS
+        got = {}
+        for line in lines[1:]:
+            parts = line.split(",")
+            got[(int(parts[0]), parts[1])] = dict(zip(AGG_COLS, map(float, parts[2:])))
+        want = reference_aggregates(rows, key)
+        assert list(got) == list(want)  # keys ascending, statistics in order
+        assert bits(got) == bits(want)
+        first = min(k for k, _ in got)
+        assert got[(first, "count")]["norm_width"] == 0.0
+        assert math.isnan(got[(first, "mean")]["norm_width"])
+        assert got[(first, "count")]["strip_cov"] == 0.0
+        assert math.isnan(got[(first, "median")]["strip_cov"])
+
+
+def test_failed_write_leaves_no_partial_or_complete_looking_output(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_ensemble(ExperimentConfig(d=2, n_max=300, trials=2, master_seed=1), out)
+    old = tree_bytes(out)
+    assert "summary.json" in old
+    cfg = ExperimentConfig(d=2, n_max=500, trials=3, master_seed=2)
+    new = tree_bytes(run_ensemble(cfg, tmp_path / "ref").out_dir)
+
+    def fail(x):
+        raise RuntimeError("statistic failed")
+
+    # the aggregate writer fails after its first key's lines are written
+    monkeypatch.setitem(harness._AGG_STATS, "max", fail)
+    with pytest.raises(RuntimeError, match="statistic failed"):
+        run_ensemble(cfg, out)
+    left = tree_bytes(out)
+    assert set(left) == {"rows_obs.csv", "aggregate_obs.csv"}  # no summary, no temporary
+    assert left["rows_obs.csv"] == new["rows_obs.csv"]
+    assert left["aggregate_obs.csv"] == old["aggregate_obs.csv"]
+
+
+def load_module(path: Path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_bytes_match_benchmark_pins(tmp_path, monkeypatch):
+    # the benchmark's rows_d2 (simulate and analyze CLI calls) and ens_d3
+    # operations at its default seed, threads=1, with the benchmark's own
+    # checks; their files must hash to the pinned digests
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmark/ as it is
+    bench = Path(__file__).resolve().parent.parent / "benchmark"
+    child = load_module(bench / "child.py")
+    seed = load_module(bench / "run.py").DEFAULT_SEED
+    pins = json.loads((bench / "pins.json").read_text())
+    for name, workload in (("rows_d2", child.RowsCli), ("ens_d3", child.Ensemble)):
+        (tmp_path / name).mkdir()
+        op = workload(name, seed, tmp_path / name).op(0, deep=True)
+        assert op["failures"] == []
+        assert op["sha256"] == pins[name], name
 
 
 def test_missing_output_directory_raises(tmp_path):
