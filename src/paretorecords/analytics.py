@@ -38,17 +38,14 @@ quadratures in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import erfc
 
 __all__ = [
-    "AnalyticContext",
     "EULER_GAMMA",
     "GAMMA_DERIVS_AT_1",
-    "KNOWN_VAR_CONSTANTS",
     "N_STABLE",
     "PREFIX_LIMIT",
     "p_record",
@@ -63,7 +60,6 @@ __all__ = [
     "tm_centering",
     "records_time_fplus_centering",
     "asym_mean_records",
-    "gamma_derivative",
 ]
 
 EULER_GAMMA = 0.5772156649015329
@@ -80,32 +76,8 @@ GAMMA_DERIVS_AT_1 = (
     715.0673625273189,
 )
 
-# Record-count variance constants known in closed form, keyed by dimension:
-# d=1 gives 1, d=2 gives pi^2/6 + 1/2. Higher d have no published value.
-KNOWN_VAR_CONSTANTS = {1: 1.0, 2: 2.1449340668482266}
-
 N_STABLE = 30  # last n evaluated by the exact rational alternating sum
 PREFIX_LIMIT = 30_000  # largest n served by the cached prefix-sum route
-
-
-@dataclass(frozen=True)
-class AnalyticContext:
-    """Bundle of the analytic constants for one dimension."""
-
-    d: int
-    euler_gamma: float = EULER_GAMMA
-    gamma_derivs: tuple = GAMMA_DERIVS_AT_1
-    known_var_constants: dict = field(default_factory=lambda: dict(KNOWN_VAR_CONSTANTS))
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.gamma_derivs[0] != 1.0:
-            raise ValueError("gamma_derivs[0] must be 1")
-        if abs(self.gamma_derivs[1] + self.euler_gamma) > 1e-12:
-            raise ValueError("gamma_derivs[1] must equal -euler_gamma")
-        if any(v <= 0 for v in self.known_var_constants.values()):
-            raise ValueError("variance constants must be positive")
 
 
 def _check_nd(n, d):
@@ -387,10 +359,3 @@ def asym_mean_records(n, d: int, order: int) -> float:
         for j in range(order + 1)
     ]
     return math.fsum(terms)
-
-
-def gamma_derivative(j: int) -> float:
-    """Gamma^(j)(1) for j in 0..6, from the hardcoded table."""
-    if not isinstance(j, (int, np.integer)) or not 0 <= j <= 6:
-        raise ValueError(f"j must be an integer in [0, 6], got {j!r}")
-    return GAMMA_DERIVS_AT_1[j]

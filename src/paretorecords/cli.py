@@ -104,23 +104,25 @@ def _cmd_simulate(args) -> int:
 
 # -- analyze ----------------------------------------------------------------------
 
+def _read_rows(path: Path) -> list:
+    try:
+        return load_rows(path)
+    except OSError as exc:
+        raise _IoError(f"cannot read rows file {path}: {exc}") from exc
+
+
 def _cmd_analyze(args) -> int:
     in_dir = Path(args.in_dir)
     obs_path = in_dir / "rows_obs.csv"
-    try:
-        rows = load_rows(obs_path)
-    except OSError as exc:
-        raise _IoError(f"cannot read rows file {obs_path}: {exc}") from exc
-    rec_path = in_dir / "rows_rec.csv"
-    if rec_path.exists():
-        try:
-            rows = rows + load_rows(rec_path)
-        except OSError as exc:
-            raise _IoError(f"cannot read rows file {rec_path}: {exc}") from exc
+    rows = _read_rows(obs_path)
     obs = [r for r in rows if r.clock == "obs"]
     if not obs:
         raise ValueError(f"no observation-clock rows in {obs_path}")
     if args.lil:
+        # only the boundary-law report uses the records-time rows
+        rec_path = in_dir / "rows_rec.csv"
+        if rec_path.exists():
+            rows = rows + _read_rows(rec_path)
         print(lil_diagnostics(rows).to_text())
         return 0
     last_n = max(r.n for r in obs)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import Point, RecordBook, _as_coords
+from .records import RecordBook, _as_coords
 
 __all__ = [
     "FrontierSummary",
@@ -91,7 +91,7 @@ def _records_array(records) -> np.ndarray:
         return records.record_coords
     if isinstance(records, np.ndarray) and records.ndim == 2:
         return np.asarray(records, dtype=np.float64)
-    rows = [p.coords if isinstance(p, Point) else _as_coords(p) for p in records]
+    rows = [_as_coords(p) for p in records]
     if not rows:
         raise ValueError("need at least one record")
     return np.stack(rows)
@@ -283,9 +283,7 @@ def in_rs(book: RecordBook, x) -> bool:
     True iff no current record strictly dominates x, i.e. every record has
     some coordinate where x is at least as large.
     """
-    coords = x.coords if isinstance(x, Point) else _as_coords(x)
-    if coords.size != book.d:
-        raise ValueError(f"dimension mismatch: expected {book.d}, got {coords.size}")
+    coords = _as_coords(x, book.d)
     return not bool(book.dominated_by_current(coords[None, :])[0])
 
 
@@ -325,7 +323,7 @@ def sweeten(x, m: int) -> IntegerGridPoint:
     (lowest index first) until the target sum is reached.  The upper orthant
     at i is then contained in the upper orthant at x.
     """
-    coords = x.coords if isinstance(x, Point) else _as_coords(x)
+    coords = _as_coords(x)
     d = coords.size
     if not isinstance(m, (int, np.integer)):
         raise ValueError(f"m must be an integer, got {m!r}")

@@ -76,8 +76,8 @@ def geometric_grid(n_max: int, ratio: float = 1.2) -> tuple:
     """Log-spaced checkpoint grid from 10 to n_max (always includes n_max)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not ratio > 1.0:
-        raise ValueError("checkpoint ratio must exceed 1")
+    if not (ratio > 1.0 and math.isfinite(ratio)):
+        raise ValueError(f"checkpoint ratio must be finite and exceed 1, got {ratio!r}")
     grid = []
     x = 10.0
     while round(x) < n_max:
@@ -114,8 +114,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed!r}")
-        if not self.checkpoint_ratio > 1.0:
-            raise ValueError("checkpoint_ratio must exceed 1")
+        if not (self.checkpoint_ratio > 1.0 and math.isfinite(self.checkpoint_ratio)):
+            raise ValueError(
+                f"checkpoint_ratio must be finite and exceed 1, got {self.checkpoint_ratio!r}"
+            )
         if self.checkpoints is not None:
             if not all(map(_is_int, self.checkpoints)):
                 raise ValueError(f"checkpoints must be integers, got {self.checkpoints!r}")

@@ -20,14 +20,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import ObservationStream
-
 __all__ = [
-    "Point",
     "ObserveOutcome",
     "RecordBook",
     "strictly_dominates",
-    "sample_observation",
     "rebuild_oracle",
     "coord_sums",
 ]
@@ -43,6 +39,8 @@ def coord_sums(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_coords(x, d: int | None = None) -> np.ndarray:
+    """The one gate for points from outside: a 1-d float64 array of finite,
+    nonnegative coordinates (``d`` of them when given), else ValueError."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("a point must be a 1-d sequence with at least one coordinate")
@@ -53,40 +51,6 @@ def _as_coords(x, d: int | None = None) -> np.ndarray:
     if np.any(arr < 0.0):
         raise ValueError("coordinates must be nonnegative")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Point:
-    """Observation vector with finite nonnegative coordinates."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_coords(self.coords).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    @property
-    def coord_sum(self) -> float:
-        """Sum of coordinates (the point's height against diagonal planes)."""
-        return float(coord_sums(self.coords))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.coords.shape == other.coords.shape and bool(
-            np.all(self.coords == other.coords)
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.coords.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Point({tuple(self.coords.tolist())!r})"
 
 
 @dataclass(frozen=True)
@@ -106,11 +70,8 @@ class ObserveOutcome:
 
 def strictly_dominates(a, b) -> bool:
     """True iff ``a`` strictly dominates ``b`` (every coordinate larger)."""
-    ca = a.coords if isinstance(a, Point) else _as_coords(a)
-    cb = b.coords if isinstance(b, Point) else _as_coords(b)
-    if ca.size != cb.size:
-        raise ValueError(f"dimension mismatch: {ca.size} vs {cb.size}")
-    return bool(np.all(_strict_gt(ca, cb)))
+    ca = _as_coords(a)
+    return bool(np.all(_strict_gt(ca, _as_coords(b, ca.size))))
 
 
 def _strict_gt(x, y):
@@ -118,15 +79,6 @@ def _strict_gt(x, y):
     # Looked up by module name at each call, so the selftest can swap in a
     # broken version; the rebuild oracle has its own comparison.
     return x > y
-
-
-def sample_observation(stream: ObservationStream, d: int) -> Point:
-    """Draw one d-dimensional Exponential(1) observation from the stream."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if d != stream.dim:
-        raise ValueError(f"stream produces dim {stream.dim}, requested {d}")
-    return Point(stream.take(1)[0])
 
 
 class RecordBook:
@@ -193,13 +145,6 @@ class RecordBook:
         return self._times[: self._r].copy()
 
     @property
-    def records(self) -> list[tuple[Point, int]]:
-        """Current records as (point, set_time) pairs in set-time order."""
-        return [
-            (Point(self._coords[i]), int(self._times[i])) for i in range(self._r)
-        ]
-
-    @property
     def dim_max(self) -> np.ndarray:
         """Per-coordinate maximum over all observations (0-vector when n=0)."""
         return self._dim_max.copy()
@@ -213,9 +158,7 @@ class RecordBook:
 
     def observe(self, p) -> ObserveOutcome:
         """Present one observation; update all counters and summaries."""
-        coords = p.coords if isinstance(p, Point) else _as_coords(p)
-        if coords.size != self.d:
-            raise ValueError(f"dimension mismatch: expected {self.d}, got {coords.size}")
+        coords = _as_coords(p, self.d)
         return self._observe_raw(coords, float(coord_sums(coords)))
 
     def _observe_raw(self, coords: np.ndarray, s: float) -> ObserveOutcome:
@@ -346,18 +289,17 @@ def rebuild_oracle(points: Sequence | Iterable, d: int | None = None) -> RecordB
 
     Quadratic on purpose, with its own inline dominance test: this function
     is the testing oracle for the incremental path and must not share any of
-    its shortcuts.  ``d`` is only needed to give an empty input a dimension.
+    its shortcuts.  ``d`` gives an empty input a dimension; when given, every
+    point must have ``d`` coordinates.
 
-    Point k is a record iff no earlier point exceeds it in every coordinate;
-    a record is current iff no point at all does.
+    Observation k is a record iff no earlier observation exceeds it in every
+    coordinate; a record is current iff no observation at all does.
     """
-    pts = [p.coords if isinstance(p, Point) else _as_coords(p) for p in points]
+    pts = [_as_coords(p, d) for p in points]
     if not pts:
         return RecordBook(1 if d is None else d)
     arr = np.stack(pts)
     n, dim = arr.shape
-    if d is not None and dim != d:
-        raise ValueError(f"dimension mismatch: expected {d}, got {dim}")
 
     # dom[i, k] true iff point i strictly exceeds point k coordinatewise
     dom = np.all(arr[:, None, :] > arr[None, :, :], axis=2)

@@ -16,10 +16,10 @@ tail of an observation's block budget are discarded, never carried over.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.random import Generator, Philox
+
+__all__ = ["ObservationStream"]
 
 _DOUBLES_PER_BLOCK = 4  # Philox4x64 emits 4 uint64 words per counter increment
 
@@ -111,17 +111,3 @@ class ObservationStream:
             f"ObservationStream(master_seed={self.master_seed}, trial={self.trial}, "
             f"dim={self.dim}, index={self.index})"
         )
-
-
-def exponential_quantile(u):
-    """Exponential(1) quantile function, stable near u=0 and u=1-eps."""
-    u = np.asarray(u, dtype=np.float64)
-    if np.any((u < 0.0) | (u >= 1.0)):
-        raise ValueError("u must lie in [0, 1)")
-    return -np.log1p(-u)
-
-
-def stream_checksum(master_seed: int, trial: int, dim: int, count: int) -> float:
-    """Sum of the first ``count`` observation vectors, for regression pins."""
-    stream = ObservationStream(master_seed, trial, dim)
-    return float(math.fsum(stream.take(count).ravel().tolist()))

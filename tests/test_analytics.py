@@ -16,11 +16,8 @@ from paretorecords import ObservationStream
 from paretorecords.analytics import (
     EULER_GAMMA,
     GAMMA_DERIVS_AT_1,
-    KNOWN_VAR_CONSTANTS,
-    AnalyticContext,
     asym_mean_records,
     fplus_centering,
-    gamma_derivative,
     gumbel_cdf,
     mean_records,
     mean_remaining,
@@ -242,35 +239,18 @@ def test_asym_tracks_exact_mean():
 def test_gamma_derivatives_against_independent_oracle():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    for j in range(7):
+    assert len(GAMMA_DERIVS_AT_1) == 7
+    for j, value in enumerate(GAMMA_DERIVS_AT_1):
         ref = float(mp.diff(mp.gamma, 1, j))
-        assert abs(gamma_derivative(j) - ref) <= 1e-10 * max(1.0, abs(ref))
+        assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref))
+    assert GAMMA_DERIVS_AT_1[0] == 1.0
+    assert abs(GAMMA_DERIVS_AT_1[1] + EULER_GAMMA) <= 1e-12
     # low orders also via plain central finite differences of math.gamma
     h = 1e-3
     fd1 = (math.gamma(1 + h) - math.gamma(1 - h)) / (2 * h)
-    assert abs(fd1 - gamma_derivative(1)) < 1e-5
+    assert abs(fd1 - GAMMA_DERIVS_AT_1[1]) < 1e-5
     fd2 = (math.gamma(1 + h) - 2.0 + math.gamma(1 - h)) / h**2
-    assert abs(fd2 - gamma_derivative(2)) < 1e-5
+    assert abs(fd2 - GAMMA_DERIVS_AT_1[2]) < 1e-5
     assert math.isclose(
-        gamma_derivative(2), EULER_GAMMA**2 + math.pi**2 / 6, rel_tol=1e-12
+        GAMMA_DERIVS_AT_1[2], EULER_GAMMA**2 + math.pi**2 / 6, rel_tol=1e-12
     )
-    with pytest.raises(ValueError):
-        gamma_derivative(7)
-    with pytest.raises(ValueError):
-        gamma_derivative(-1)
-
-
-def test_analytic_context():
-    ctx = AnalyticContext(d=2)
-    assert ctx.gamma_derivs[0] == 1.0
-    assert abs(ctx.gamma_derivs[1] + ctx.euler_gamma) <= 1e-12
-    assert all(v > 0 for v in ctx.known_var_constants.values())
-    assert ctx.known_var_constants[1] == 1.0
-    assert math.isclose(
-        ctx.known_var_constants[2], math.pi**2 / 6 + 0.5, rel_tol=1e-15
-    )
-    with pytest.raises(ValueError):
-        AnalyticContext(d=0)
-    with pytest.raises(ValueError):
-        AnalyticContext(d=2, gamma_derivs=(2.0, -EULER_GAMMA))
-    assert KNOWN_VAR_CONSTANTS[2] == GAMMA_DERIVS_AT_1[0] * (math.pi**2 / 6 + 0.5)

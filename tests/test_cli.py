@@ -255,6 +255,34 @@ def test_analyze_damaged_rows_file(tmp_path, capsys):
         assert str(rows) in capsys.readouterr().err, case
 
 
+def test_analyze_reads_records_time_rows_only_for_lil(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "--d", "2", "--n-max", "300", "--trials", "2",
+                 "--seed", "4", "--threads", "1", "--records-time",
+                 "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    rec = run / "rows_rec.csv"
+    header, first = rec.read_bytes().splitlines(keepends=True)[:2]
+    rec.write_bytes(header + first[: len(first) // 2])
+    assert main(["analyze", "--in-dir", str(run)]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 2
+    assert main(["analyze", "--in-dir", str(run), "--lil"]) == 2
+    assert str(rec) in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_ratio_exits_2(tmp_path, capsys):
+    for ratio in ("inf", "nan"):
+        assert main(["simulate", "--d", "2", "--n-max", "100",
+                     "--checkpoint-ratio", ratio,
+                     "--out-dir", str(tmp_path / ratio)]) == 2, ratio
+        assert "checkpoint_ratio" in capsys.readouterr().err
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"d": 2, "n_max": 100, "checkpoint_ratio": math.inf}))
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "cfg")]) == 2
+    assert not (tmp_path / "inf").exists() and not (tmp_path / "cfg").exists()
+
+
 def test_stale_records_time_outputs_removed(tmp_path, capsys):
     out = tmp_path / "run"
     run_ensemble(ExperimentConfig(d=2, n_max=2000, trials=2, master_seed=5,

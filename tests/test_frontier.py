@@ -153,7 +153,7 @@ def test_in_rs_cases():
     b = book_of([(1, 3), (2, 2), (3, 1)])
     assert in_rs(b, (0, 3)) is True
     assert in_rs(b, (0.5, 2.5)) is False
-    for rec, _ in b.records:
+    for rec in b.record_coords:
         assert in_rs(b, rec) is True
     assert in_rs(RecordBook(2), (0, 0)) is True
     with pytest.raises(ValueError):

@@ -64,8 +64,11 @@ def test_config_validation(tmp_path):
         ExperimentConfig(d=2, n_max=10, master_seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(d=2, n_max=10, master_seed=2**64)
-    with pytest.raises(ValueError):
-        ExperimentConfig(d=2, n_max=10, checkpoint_ratio=0.9)
+    for ratio in (0.9, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ExperimentConfig(d=2, n_max=10, checkpoint_ratio=ratio)
+        with pytest.raises(ValueError):
+            geometric_grid(100, ratio=ratio)
     with pytest.raises(ValueError):
         ExperimentConfig(d=2, n_max=10, checkpoints=())
     with pytest.raises(ValueError):

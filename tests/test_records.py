@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from paretorecords import (
-    ObservationStream,
     ObserveOutcome,
-    Point,
     RecordBook,
     coord_sums,
+    in_rs,
     rebuild_oracle,
-    sample_observation,
     strictly_dominates,
 )
 
@@ -28,24 +26,41 @@ def test_strict_domination_basics():
     assert strictly_dominates((2, 1), (1, 2)) is False
     # equality in one coordinate blocks strict domination
     assert strictly_dominates((1, 2), (1, 1)) is False
-    assert strictly_dominates(Point(np.array([3.0, 4.0])), (2, 2))
     with pytest.raises(ValueError):
         strictly_dominates((1, 2), (1, 2, 3))
 
 
+BAD_POINTS = {
+    "negative": (1.0, -0.5),
+    "nan": (np.nan, 1.0),
+    "inf": (np.inf, 1.0),
+    "2-d": [[1.0, 2.0]],
+    "empty": (),
+    "wrong d": (1.0, 2.0, 3.0),
+}
+
+
 def test_point_validation():
-    with pytest.raises(ValueError):
-        Point(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        Point(np.array([np.nan, 1.0]))
-    with pytest.raises(ValueError):
-        Point(np.array([[1.0, 2.0]]))
-    p = Point(np.array([1.0, 2.0]))
-    assert p.dim == 2 and p.coord_sum == 3.0
-    assert p == Point(np.array([1.0, 2.0]))
-    assert hash(p) == hash(Point(np.array([1.0, 2.0])))
-    with pytest.raises(ValueError):
-        p.coords[0] = 5.0  # frozen storage
+    # every entry point that takes a point from outside rejects a bad one,
+    # and rejects it before touching any state
+    book = RecordBook(2)
+    book.observe((1.0, 2.0))
+    gates = {
+        "observe": book.observe,
+        "in_rs": lambda x: in_rs(book, x),
+        "rebuild_oracle": lambda x: rebuild_oracle([(1.0, 2.0), x], d=2),
+        "strictly_dominates": lambda x: strictly_dominates(x, (1.0, 2.0)),
+        "strictly_dominates, second": lambda x: strictly_dominates((1.0, 2.0), x),
+    }
+    for gate, call in gates.items():
+        for case, x in BAD_POINTS.items():
+            with pytest.raises(ValueError):
+                call(x)
+                pytest.fail(f"{gate} accepted a {case} point")
+    assert (book.n, book.R, book.r) == (1, 1, 1)
+    # a plain sequence, a tuple of ints and a float64 array are all points
+    assert strictly_dominates([3, 4], np.array([2.0, 2.0]))
+    assert in_rs(book, [2, 3]) and not in_rs(book, np.array([0.5, 1.5]))
 
 
 def test_outcome_invariant():
@@ -93,8 +108,8 @@ def test_multi_kill():
     book, outs = build([(1, 3), (3, 1), (2, 2), (4, 4)])
     assert outs[3] == ObserveOutcome(True, 3)
     assert (book.R, book.r, book.beta) == (4, 1, 3)
-    assert book.records[0][0] == Point(np.array([4.0, 4.0]))
-    assert book.records[0][1] == 4
+    assert book.record_coords.tolist() == [[4.0, 4.0]]
+    assert book.record_times.tolist() == [4]
 
 
 def test_dimension_mismatch():
@@ -108,7 +123,8 @@ def test_dimension_mismatch():
 def test_oracle_example():
     book = rebuild_oracle([(1, 2), (2, 3)])
     assert (book.n, book.R, book.r, book.beta) == (2, 2, 1, 1)
-    assert book.records[0][0] == Point(np.array([2.0, 3.0]))
+    assert book.record_coords.tolist() == [[2.0, 3.0]]
+    assert book.record_times.tolist() == [2]
 
 
 def test_oracle_empty():
@@ -152,7 +168,7 @@ def test_one_dimensional_records_are_running_maxima():
     expected_R = 1 + int(np.count_nonzero(x[1:] > runmax[:-1]))
     assert book.R == expected_R
     assert book.r == 1
-    assert book.records[0][0].coords[0] == x.max()
+    assert book.record_coords.tolist() == [[x.max()]]
 
 
 # -- invariants on random trajectories ------------------------------------
@@ -228,15 +244,6 @@ def test_dominated_by_current_matches_observe():
         for rec in book.record_coords:
             fresh.observe(rec)
         assert fresh.observe(row).is_record == (not dominated)
-
-
-def test_sample_observation():
-    s = ObservationStream(5, 0, 3)
-    p = sample_observation(s, 3)
-    s2 = ObservationStream(5, 0, 3)
-    assert p == sample_observation(s2, 3)
-    with pytest.raises(ValueError):
-        sample_observation(ObservationStream(5, 0, 2), 3)
 
 
 def test_monte_carlo_harmonic_mean():
