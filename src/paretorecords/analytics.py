@@ -43,6 +43,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import erfc
 
+from .records import _as_int
+
 __all__ = [
     "EULER_GAMMA",
     "GAMMA_DERIVS_AT_1",
@@ -80,19 +82,11 @@ N_STABLE = 30  # last n evaluated by the exact rational alternating sum
 PREFIX_LIMIT = 30_000  # largest n served by the cached prefix-sum route
 
 
-def _check_nd(n, d):
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    return int(n), int(d)
-
-
 # -- record probability -------------------------------------------------------
 
 def p_record_exact(n: int, d: int) -> Fraction:
     """Exact rational record probability via the alternating sum."""
-    n, d = _check_nd(n, d)
+    n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
     total = Fraction(0)
     for k in range(n):
         term = Fraction(math.comb(n - 1, k), (k + 1) ** d)
@@ -102,7 +96,7 @@ def p_record_exact(n: int, d: int) -> Fraction:
 
 def p_record(n: int, d: int) -> float:
     """P(observation n sets a record) for iid Exponential(1) coordinates."""
-    n, d = _check_nd(n, d)
+    n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
     if n <= N_STABLE:
         return float(p_record_exact(n, d))
     if n <= PREFIX_LIMIT:
@@ -147,7 +141,7 @@ def mean_records(n: int, d: int) -> float:
     values, so consecutive outputs differ by exactly the probability of the
     new record.  Larger n evaluate the equivalent single integral.
     """
-    n, d = _check_nd(n, d)
+    n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
     if n <= PREFIX_LIMIT:
         return float(_ensure_prefix(d)[n])
     return _mean_records_integral(n, d)
@@ -184,7 +178,7 @@ def mean_remaining(n: int, d: int) -> float:
     identity n * p(n, 1) = 1 is evaluated in closed form so the result is
     exact rather than rounding-close.
     """
-    n, d = _check_nd(n, d)
+    n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
     if d == 1:
         return 1.0
     if n <= N_STABLE:
@@ -196,7 +190,7 @@ def mean_remaining(n: int, d: int) -> float:
 
 def y_density(n: int, d: int, y):
     """Density of a record's coordinate sum at time n (0 for y <= 0)."""
-    n, d = _check_nd(n, d)
+    n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
     y_arr = np.asarray(y, dtype=np.float64)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
@@ -270,7 +264,7 @@ def sample_y(stream, n: int, d: int) -> float:
     Consumes one observation address from the stream (its first coordinate
     slot), so samples are reproducible and stream-chunking independent.
     """
-    n, d = _check_nd(n, d)
+    n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
     key = (n, d)
     table = _CDF_TABLES.get(key)
     if table is None:
@@ -306,8 +300,7 @@ def _check_real(value, name: str, minimum: float):
 
 def fplus_centering(n, d: int) -> float:
     """Centering for the largest frontier sum: ln n + (d-1) ln ln n - ln((d-1)!)."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    d = _as_int(d, "d", 1)
     n = _check_real(n, "n", 3.0)
     log_n = math.log(n)
     return log_n + (d - 1) * math.log(log_n) - math.lgamma(d)
@@ -315,8 +308,7 @@ def fplus_centering(n, d: int) -> float:
 
 def tm_centering(m, d: int) -> float:
     """Centering for the epoch of record m: (d! m)^(1/d) - gamma."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    d = _as_int(d, "d", 1)
     m = _check_real(m, "m", 2.0)
     return (math.factorial(d) * m) ** (1.0 / d) - EULER_GAMMA
 
@@ -327,8 +319,7 @@ def records_time_fplus_centering(m, d: int) -> float:
     Only meaningful from dimension 3 up:
     (d! m)^(1/d) + (1 - 1/d) ln m + ln d - (1/d) ln(d!) - gamma.
     """
-    if not isinstance(d, (int, np.integer)) or d < 3:
-        raise ValueError(f"d must be an integer >= 3, got {d!r}")
+    d = _as_int(d, "d", 3)
     m = _check_real(m, "m", 2.0)
     dfact = math.factorial(d)
     return (
@@ -343,12 +334,8 @@ def records_time_fplus_centering(m, d: int) -> float:
 def asym_mean_records(n, d: int, order: int) -> float:
     """Truncated expansion of E[#records]: (ln n)^d sum_j (-1)^j G_j/(j!(d-j)!) (ln n)^-j
     with G_j the j-th derivative of the Gamma function at 1."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
-    if order > d:
-        raise ValueError(f"order must be <= d = {d}, got {order}")
+    d = _as_int(d, "d", 1)
+    order = _as_int(order, "order", 0, d)
     n = _check_real(n, "n", 3.0)
     log_n = math.log(n)
     terms = [

@@ -304,9 +304,8 @@ _SUITES = [
 
 
 def _cmd_selftest(args) -> int:
-    inject = args.inject_fault or os.environ.get("PARETO_RECORDS_INJECT_FAULT") == "1"
     strict_gt = records._strict_gt
-    if inject:
+    if args.inject_fault:
         # break tie handling (> becomes >=) in every incremental dominance
         # test; generic random data still passes, crafted ties must not
         records._strict_gt = lambda x, y: x >= y

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import RecordBook, _as_coords
+from .records import RecordBook, _as_coords, _as_int
 
 __all__ = [
     "FrontierSummary",
@@ -75,10 +75,7 @@ class IntegerGridPoint:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
-        if any(c < 0 for c in coords):
-            raise ValueError("integer grid coordinates must be nonnegative")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(_as_int(c, "coords", 0) for c in self.coords))
 
     @property
     def coord_sum(self) -> int:
@@ -86,11 +83,10 @@ class IntegerGridPoint:
 
 
 def _records_array(records) -> np.ndarray:
-    """Coerce a RecordBook, array, or list of points to an (r, d) array."""
+    """Coerce a RecordBook, or an array or list of points checked by
+    ``_as_coords``, to an (r, d) array."""
     if isinstance(records, RecordBook):
         return records.record_coords
-    if isinstance(records, np.ndarray) and records.ndim == 2:
-        return np.asarray(records, dtype=np.float64)
     rows = [_as_coords(p) for p in records]
     if not rows:
         raise ValueError("need at least one record")
@@ -289,8 +285,7 @@ def in_rs(book: RecordBook, x) -> bool:
 
 def bhat(book: RecordBook, m: int) -> float:
     """m-th largest coordinate sum among all observations seen."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = _as_int(m, "m", 1)
     if m > book.top_capacity:
         raise ValueError(
             f"m={m} exceeds the top-sum tracker capacity {book.top_capacity}"
@@ -325,11 +320,7 @@ def sweeten(x, m: int) -> IntegerGridPoint:
     """
     coords = _as_coords(x)
     d = coords.size
-    if not isinstance(m, (int, np.integer)):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    m = int(m)
-    if m < 1 or m < d - 1:
-        raise ValueError(f"m must be a positive integer >= d-1 = {d-1}, got {m}")
+    m = _as_int(m, "m", max(1, d - 1))
     target_x = 2 * m - 2 * (d - 1)
     xsum = math.fsum(coords.tolist())
     if abs(xsum - target_x) > 1e-9:
@@ -353,8 +344,7 @@ def lower_bound_probability(n, b, d: int) -> float:
     returns C(2m, d-1) * exp(-n^((d-1)/(2m))).  Diagnostic overlay only.
     Refused for d = 1, where the construction behind it degenerates.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    d = _as_int(d, "d", 1)
     if d == 1:
         raise ValueError("the bound degenerates in dimension 1; use d >= 2")
     n = float(n)

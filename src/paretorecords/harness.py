@@ -50,7 +50,7 @@ from .analytics import (
     records_time_fplus_centering,
 )
 from .frontier import RegionCorners, f_plus
-from .records import RecordBook, coord_sums
+from .records import RecordBook, _as_int, coord_sums
 from .rng import ObservationStream
 
 __all__ = [
@@ -70,14 +70,24 @@ __all__ = [
 _CHUNK = 1 << 16
 _FIRST_BLOCK = 64  # blocks start this small and double up to the chunk size
 _SUM_FILTER_MARGIN = 1e-9  # dwarfs rounding error in any realistic sum
+_MAX_GRID_STEPS = 10**5  # far more checkpoints than any grid needs
 
 
 def geometric_grid(n_max: int, ratio: float = 1.2) -> tuple:
-    """Log-spaced checkpoint grid from 10 to n_max (always includes n_max)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    """Log-spaced checkpoint grid from 10 to n_max (always includes n_max).
+
+    The grid multiplies by ``ratio`` about ln(n_max/10)/ln(ratio) times, so a
+    ratio too close to 1 for that to stay under ``_MAX_GRID_STEPS`` is refused
+    before the loop starts (at 1 + 2**-52 and n_max = 100 it would be 10**16).
+    """
+    n_max = _as_int(n_max, "n_max", 1)
     if not (ratio > 1.0 and math.isfinite(ratio)):
-        raise ValueError(f"checkpoint ratio must be finite and exceed 1, got {ratio!r}")
+        raise ValueError(f"checkpoint_ratio must be finite and exceed 1, got {ratio!r}")
+    if math.log(max(n_max, 10) / 10) > _MAX_GRID_STEPS * math.log(ratio):
+        raise ValueError(
+            f"checkpoint_ratio {ratio!r} is too close to 1: the grid to "
+            f"n_max={n_max} would take more than {_MAX_GRID_STEPS} steps"
+        )
     grid = []
     x = 10.0
     while round(x) < n_max:
@@ -87,10 +97,6 @@ def geometric_grid(n_max: int, ratio: float = 1.2) -> tuple:
         x *= ratio
     grid.append(n_max)
     return tuple(v for v in grid if v <= n_max)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -109,23 +115,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("d", "n_max", "trials", "top_m"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed!r}")
-        if not (self.checkpoint_ratio > 1.0 and math.isfinite(self.checkpoint_ratio)):
-            raise ValueError(
-                f"checkpoint_ratio must be finite and exceed 1, got {self.checkpoint_ratio!r}"
-            )
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, 1))
+        object.__setattr__(self, "master_seed",
+                           _as_int(self.master_seed, "master_seed", 0, 2**64 - 1))
+        # a bad ratio fails here, not when the grid is first used
+        geometric_grid(self.n_max, self.checkpoint_ratio)
         if self.checkpoints is not None:
-            if not all(map(_is_int, self.checkpoints)):
-                raise ValueError(f"checkpoints must be integers, got {self.checkpoints!r}")
-            pts = sorted(set(int(c) for c in self.checkpoints))
+            pts = sorted(set(_as_int(c, "checkpoints", 1, self.n_max) for c in self.checkpoints))
             if not pts:
                 raise ValueError("empty checkpoint grid")
-            if pts[0] < 1 or pts[-1] > self.n_max:
-                raise ValueError(f"checkpoints must lie in [1, n_max={self.n_max}]")
             object.__setattr__(self, "checkpoints", tuple(pts))
 
     @property
@@ -229,9 +227,7 @@ def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All checkpoint rows of one trial; deterministic in (cfg, trial)."""
-    if not _is_int(trial) or trial < 0:
-        raise ValueError(f"trial must be a nonnegative integer, got {trial!r}")
-    return _simulate(cfg, int(trial))
+    return _simulate(cfg, _as_int(trial, "trial", 0))
 
 
 # -- serialization -------------------------------------------------------------
@@ -372,8 +368,7 @@ def run_ensemble(cfg: ExperimentConfig, out_dir, threads: int = 1) -> EnsembleRe
     complete, and outputs this config does not write are removed.
     """
     out = Path(out_dir)
-    if not _is_int(threads) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+    threads = _as_int(threads, "threads", 1)
     try:
         out.mkdir(exist_ok=True)
     except OSError as exc:
@@ -383,8 +378,8 @@ def run_ensemble(cfg: ExperimentConfig, out_dir, threads: int = 1) -> EnsembleRe
     if threads == 1:
         per_trial = [run_trial(cfg, t) for t in trials]
     else:
-        with ProcessPoolExecutor(max_workers=int(threads)) as pool:
-            chunksize = max(1, cfg.trials // (int(threads) * 8))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            chunksize = max(1, cfg.trials // (threads * 8))
             per_trial = list(pool.map(run_trial, [cfg] * cfg.trials, trials, chunksize=chunksize))
 
     rows = {clock: [row for trial_rows in per_trial for row in trial_rows if row.clock == clock]
@@ -426,22 +421,18 @@ _CDF_TAGS = {
 }
 
 
-def ks_statistic(samples, cdf, loc: float = 0.0, scale: float = 1.0) -> float:
+def ks_statistic(samples, cdf) -> float:
     """Two-sided Kolmogorov-Smirnov distance to a reference distribution.
 
     ``cdf`` is a tag ("uniform", "exponential", "gumbel", "normal") or any
-    vectorizable CDF callable; samples are standardized by (x - loc)/scale
-    before evaluation.
+    vectorizable CDF callable, evaluated at the samples as given; to compare
+    against a shifted or scaled law, standardize the samples first.
     """
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     if xs.size == 0:
         raise ValueError("ks_statistic needs at least one sample")
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
-    if not math.isfinite(loc):
-        raise ValueError(f"loc must be finite, got {loc!r}")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be a finite positive number, got {scale!r}")
     if callable(cdf):
         ref = cdf
     else:
@@ -449,7 +440,7 @@ def ks_statistic(samples, cdf, loc: float = 0.0, scale: float = 1.0) -> float:
             ref = _CDF_TAGS[cdf]
         except KeyError:
             raise ValueError(f"unknown reference distribution {cdf!r}") from None
-    fvals = np.asarray(ref((xs - loc) / scale), dtype=np.float64)
+    fvals = np.asarray(ref(xs), dtype=np.float64)
     n = xs.size
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n

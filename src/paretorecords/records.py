@@ -53,6 +53,21 @@ def _as_coords(x, d: int | None = None) -> np.ndarray:
     return arr
 
 
+def _as_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """The one gate for integers from outside: an int or numpy integer, never
+    a bool, in ``[lo, hi]`` (unbounded above when ``hi`` is None), returned as
+    a plain int, else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lo or (hi is not None and value > hi)):
+        if hi is not None:
+            kind = f"an integer in [{lo}, {hi}]"
+        else:
+            kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+                lo, f"an integer >= {lo}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ObserveOutcome:
     """Result of presenting one observation to a RecordBook."""
@@ -104,12 +119,8 @@ class RecordBook:
     """
 
     def __init__(self, d: int, top_capacity: int = 64):
-        if not isinstance(d, (int, np.integer)) or d < 1:
-            raise ValueError(f"d must be a positive integer, got {d!r}")
-        if not isinstance(top_capacity, (int, np.integer)) or top_capacity < 1:
-            raise ValueError(f"top_capacity must be a positive integer, got {top_capacity!r}")
-        self.d = int(d)
-        self.top_capacity = int(top_capacity)
+        self.d = _as_int(d, "d", 1)
+        self.top_capacity = _as_int(top_capacity, "top_capacity", 1)
         self.n = 0
         self.R = 0
         self.beta = 0

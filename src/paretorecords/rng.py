@@ -19,20 +19,13 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .records import _as_int
+
 __all__ = ["ObservationStream"]
 
 _DOUBLES_PER_BLOCK = 4  # Philox4x64 emits 4 uint64 words per counter increment
 
 _U64 = 1 << 64
-
-
-def _check_u64(value: int, name: str) -> int:
-    if not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    value = int(value)
-    if not 0 <= value < _U64:
-        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
-    return value
 
 
 class ObservationStream:
@@ -57,11 +50,9 @@ class ObservationStream:
     """
 
     def __init__(self, master_seed: int, trial: int = 0, dim: int = 1):
-        self.master_seed = _check_u64(master_seed, "master_seed")
-        self.trial = _check_u64(trial, "trial")
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
-        self.dim = int(dim)
+        self.master_seed = _as_int(master_seed, "master_seed", 0, _U64 - 1)
+        self.trial = _as_int(trial, "trial", 0, _U64 - 1)
+        self.dim = _as_int(dim, "dim", 1)
         self._blocks_per_obs = -(-self.dim // _DOUBLES_PER_BLOCK)
         self._key = np.array([self.master_seed, self.trial], dtype=np.uint64)
         self.index = 0  # index of the next observation to be produced
@@ -75,9 +66,7 @@ class ObservationStream:
 
     def seek(self, obs_index: int) -> None:
         """Position the cursor so the next ``take`` starts at ``obs_index``."""
-        if not isinstance(obs_index, (int, np.integer)) or obs_index < 0:
-            raise ValueError(f"obs_index must be a nonnegative integer, got {obs_index!r}")
-        self.index = int(obs_index)
+        self.index = _as_int(obs_index, "obs_index", 0)
 
     def take_uniforms(self, count: int) -> np.ndarray:
         """Next ``count`` observation slots as raw U(0,1) matrices.
@@ -87,9 +76,7 @@ class ObservationStream:
         block budget, so uniform and exponential reads at the same address
         see the same underlying bits.
         """
-        if not isinstance(count, (int, np.integer)) or count < 0:
-            raise ValueError(f"count must be a nonnegative integer, got {count!r}")
-        count = int(count)
+        count = _as_int(count, "count", 0)
         if count == 0:
             return np.empty((0, self.dim), dtype=np.float64)
         gen = self._generator_at(self.index)

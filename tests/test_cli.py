@@ -136,18 +136,6 @@ def test_selftest_fault_injection_flag(capsys):
     assert records._strict_gt is strict_gt  # original comparison restored
 
 
-def test_selftest_fault_injection_env():
-    res = run_cli("selftest")
-    assert res.returncode == 0
-    import os
-    env = dict(os.environ, PARETO_RECORDS_INJECT_FAULT="1")
-    res = subprocess.run(
-        [sys.executable, "-m", "paretorecords.cli", "selftest"],
-        capture_output=True, text=True, env=env)
-    assert res.returncode == 1
-    assert "record-dominance" in res.stderr
-
-
 def segment_counts(points_attr):
     pts = [tuple(float(v) for v in tok.split(",")) for tok in points_attr.split()]
     horiz = sum(1 for a, b in zip(pts, pts[1:]) if a[1] == b[1])
@@ -281,6 +269,19 @@ def test_non_finite_checkpoint_ratio_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path),
                  "--out-dir", str(tmp_path / "cfg")]) == 2
     assert not (tmp_path / "inf").exists() and not (tmp_path / "cfg").exists()
+
+
+def test_checkpoint_ratio_near_one_exits_2(tmp_path):
+    # a few ulps above 1 the grid loop would run ~10**16 times; it is refused
+    # before the loop starts (the timeout turns a hang into a failure)
+    res = subprocess.run(
+        [sys.executable, "-m", "paretorecords.cli", "simulate", "--d", "2",
+         "--n-max", "100", "--checkpoint-ratio", "1.0000000000000002",
+         "--out-dir", str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert "checkpoint_ratio" in res.stderr
+    assert not (tmp_path / "run").exists()
 
 
 def test_stale_records_time_outputs_removed(tmp_path, capsys):

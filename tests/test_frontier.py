@@ -69,6 +69,12 @@ def test_bruteforce_cases():
         f_minus_bruteforce(np.ones((13, 2)))
     with pytest.raises(ValueError):
         f_minus_candidate_grid(np.ones((13, 2)))
+    # array rows go through the same point check as list rows, so the
+    # oracles never solve for negative or NaN coordinates
+    for bad in (np.array([[-1.0, 2.0], [3.0, -5.0]]), np.array([[1.0, 2.0], [math.nan, 1.0]])):
+        for oracle in (f_minus_bruteforce, f_minus_candidate_grid):
+            with pytest.raises(ValueError, match="coordinates must be"):
+                oracle(bad)
 
 
 def test_route_agreement_random():

@@ -53,6 +53,10 @@ def test_geometric_grid():
     assert len(geometric_grid(10**4, ratio=2.0)) < len(geometric_grid(10**4))
     with pytest.raises(ValueError):
         geometric_grid(100, ratio=1.0)
+    # a fine grid is served; one that needs over 10**5 steps is refused
+    assert len(geometric_grid(10**7, ratio=1.0002)) > 10**4
+    with pytest.raises(ValueError, match="too close to 1"):
+        geometric_grid(100, ratio=1.00001)
 
 
 def test_config_validation(tmp_path):
@@ -349,22 +353,10 @@ def test_ks_worked_examples():
         ks_statistic([0.5], "cauchy")
     with pytest.raises(ValueError):
         ks_statistic([math.nan], "uniform")
-    for scale in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            ks_statistic([0.5], "uniform", scale=scale)
-    for loc in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            ks_statistic([0.5], "uniform", loc=loc)
-    # tags agree with hand-built callables, loc/scale shifts
+    # tags agree with hand-built callables
     xs = [0.1, 0.9, 2.5]
     assert ks_statistic(xs, "exponential") == ks_statistic(
         xs, lambda t: -np.expm1(-np.maximum(t, 0.0)))
-    shifted = [x + 5.0 for x in xs]
-    assert ks_statistic(shifted, "exponential", loc=5.0) == pytest.approx(
-        ks_statistic(xs, "exponential"), abs=1e-15)
-    scaled = [3.0 * x for x in xs]
-    assert ks_statistic(scaled, "exponential", scale=3.0) == pytest.approx(
-        ks_statistic(xs, "exponential"), abs=1e-15)
 
 
 def test_ks_null_calibration_and_power():

@@ -99,7 +99,7 @@ def test_validation_errors():
         ObservationStream(0, trial=-2)
     with pytest.raises(ValueError):
         ObservationStream(0, dim=0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         ObservationStream(1.5)
     s = ObservationStream(0)
     with pytest.raises(ValueError):
