@@ -1,10 +1,10 @@
 """Exact record-probability curves against a quick Monte Carlo check.
 
-p_record(n, d) is computed exactly (rational alternating sum for small n,
-the positive-term recurrence p(n, d) = mean_records(n, d - 1) / n beyond),
-and mean_records accumulates it. The Monte
-Carlo column is only here to make the agreement visible; the package's own
-tests pin these values far more tightly.
+p_record(n, d) comes from one positive-term recurrence,
+p(n, d) = mean_records(n, d - 1) / n, from n = 1: a table up to
+PREFIX_LIMIT and a single integral beyond. mean_records accumulates it.
+The Monte Carlo column is only here to make the agreement visible; the
+package's own tests pin these values far more tightly.
 """
 
 import numpy as np

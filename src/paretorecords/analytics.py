@@ -10,20 +10,18 @@ and the equivalent integral form
     p(n, d) = int_0^inf  y^{d-1}/(d-1)! * e^{-y} (1 - e^{-y})^{n-1}  dy,
 
 the integrand being the (unnormalized) conditional density of the record's
-coordinate sum.  Expected record counts are prefix sums of p.  Three routes
-evaluate them, each where it is accurate:
+coordinate sum.  Expected record counts are prefix sums of p.  In double
+precision the alternating sum cancels away more than 10 digits by n ~ 50,
+so every value comes instead from the positive-term recurrence of Bentley,
+Kung, Schkolnick & Thompson (J. ACM 25(4), 1978),
 
-- n <= N_STABLE: the alternating sum in exact rational arithmetic.  Beyond
-  n = 30 binomial growth would destroy double precision (cancellation
-  exceeds 10 digits by n ~ 50).
-- n <= PREFIX_LIMIT: the positive-term recurrence of Bentley, Kung,
-  Schkolnick & Thompson (J. ACM 25(4), 1978),
+    n p(n, d) = E[#records among n in dimension d-1],   p(n, 1) = 1/n,
 
-      p(n, d) = E[#records among n in dimension d-1] / n,   p(n, 1) = 1/n,
+which follows from the alternating sum via C(n-1, k)/(k+1) = C(n, k+1)/n
+and is accurate from n = 1.  It is served two ways:
 
-  which follows from the alternating sum via C(n-1, k)/(k+1) = C(n, k+1)/n.
-  One table of p and its prefix sums is built per d, seeded with the
-  rational values.
+- n <= PREFIX_LIMIT: one table of p and its prefix sums per d, built from
+  the table of d - 1.
 - larger n: the single integral
 
       E[#records among n] = int_0^inf y^{d-1}/(d-1)! * (1-(1-e^{-y})^n) dy,
@@ -31,8 +29,8 @@ evaluate them, each where it is accurate:
   by composite Gauss-Legendre on half-unit panels, and p(n, d) from it by
   the same recurrence.
 
-Accuracy is pinned against the rationals and independent high-precision
-quadratures in the tests.
+The exact rationals (``p_record_exact``) and independent high-precision
+quadratures pin the accuracy in the tests.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from .records import _as_int
 __all__ = [
     "EULER_GAMMA",
     "GAMMA_DERIVS_AT_1",
-    "N_STABLE",
     "PREFIX_LIMIT",
     "p_record",
     "p_record_exact",
@@ -78,8 +75,7 @@ GAMMA_DERIVS_AT_1 = (
     715.0673625273189,
 )
 
-N_STABLE = 30  # last n evaluated by the exact rational alternating sum
-PREFIX_LIMIT = 30_000  # largest n served by the cached prefix-sum route
+PREFIX_LIMIT = 30_000  # largest n served by the cached tables
 
 
 # -- record probability -------------------------------------------------------
@@ -97,14 +93,10 @@ def p_record_exact(n: int, d: int) -> Fraction:
 def p_record(n: int, d: int) -> float:
     """P(observation n sets a record) for iid Exponential(1) coordinates."""
     n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
-    if n <= N_STABLE:
-        return float(p_record_exact(n, d))
     if n <= PREFIX_LIMIT:
         _ensure_prefix(d)
         return float(_P_TABLE[d][n])
-    if d == 1:
-        return 1.0 / n
-    return _mean_records_integral(n, d - 1) / n
+    return mean_remaining(n, d) / n
 
 
 # -- record-count means --------------------------------------------------------
@@ -122,12 +114,8 @@ def _ensure_prefix(d: int) -> np.ndarray:
         return s
     ps = np.empty(PREFIX_LIMIT + 1, dtype=np.float64)
     ps[0] = 0.0
-    ps[1 : N_STABLE + 1] = [float(p_record_exact(m, d)) for m in range(1, N_STABLE + 1)]
-    ms = np.arange(N_STABLE + 1, PREFIX_LIMIT + 1, dtype=np.float64)
-    if d == 1:
-        ps[N_STABLE + 1 :] = 1.0 / ms
-    else:
-        ps[N_STABLE + 1 :] = _ensure_prefix(d - 1)[N_STABLE + 1 :] / ms
+    ms = np.arange(1, PREFIX_LIMIT + 1, dtype=np.float64)
+    ps[1:] = (1.0 if d == 1 else _ensure_prefix(d - 1)[1:]) / ms  # the recurrence
     s = np.cumsum(ps)  # sequential accumulation: keeps telescoping bitwise
     _P_TABLE[d] = ps
     _PREFIX[d] = s
@@ -152,19 +140,19 @@ _PANEL = 0.5  # log-space panel width; GL16 per panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _panel_nodes(a: float, b: float):
-    """Composite GL16 nodes/weights on [a, b] in half-unit panels."""
-    n_panels = max(1, math.ceil((b - a) / _PANEL))
+def _panel_nodes(a: float, b: float, n_panels: int):
+    """Panel edges and composite GL16 nodes/weights on [a, b]."""
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     ys = (mid + half * _GL_NODES[None, :]).ravel()
     ws = (half * _GL_WEIGHTS[None, :]).ravel()
-    return ys, ws
+    return edges, ys, ws
 
 
 def _mean_records_integral(n: int, d: int) -> float:
-    ys, ws = _panel_nodes(0.0, math.log(n) + 60.0)
+    b = math.log(n) + 60.0
+    _, ys, ws = _panel_nodes(0.0, b, max(1, math.ceil(b / _PANEL)))
     # 1 - (1-e^{-y})^n without cancellation at either end
     tail = -np.expm1(n * np.log1p(-np.exp(-ys)))
     dens = np.exp((d - 1) * np.log(ys) - math.lgamma(d))
@@ -174,19 +162,25 @@ def _mean_records_integral(n: int, d: int) -> float:
 def mean_remaining(n: int, d: int) -> float:
     """E[#current records at time n] = n * p_record(n, d).
 
-    In dimension 1 there is exactly one current record for every n, and the
-    identity n * p(n, 1) = 1 is evaluated in closed form so the result is
-    exact rather than rounding-close.
+    This is the recurrence itself: the current records at time n are the
+    records among n observations in dimension d - 1, so the value is
+    ``mean_records(n, d - 1)``, and exactly 1 in dimension 1.
     """
     n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
-    if d == 1:
-        return 1.0
-    if n <= N_STABLE:
-        return float(n * p_record_exact(n, d))
-    return n * p_record(n, d)
+    return 1.0 if d == 1 else mean_records(n, d - 1)
 
 
 # -- conditional record density -------------------------------------------------
+
+def _density(ys: np.ndarray, n: int, d: int, log_norm: float) -> np.ndarray:
+    """y^{d-1}/(d-1)! e^{-y} (1-e^{-y})^{n-1} / e^{log_norm} at ys > 0."""
+    logf = (d - 1) * np.log(ys) - math.lgamma(d) - ys
+    if log_norm:  # x - 0.0 == x: the sampler's inner loop skips the array op
+        logf -= log_norm
+    if n > 1:
+        logf = logf + (n - 1) * np.log1p(-np.exp(-ys))
+    return np.exp(logf)
+
 
 def y_density(n: int, d: int, y):
     """Density of a record's coordinate sum at time n (0 for y <= 0)."""
@@ -197,16 +191,7 @@ def y_density(n: int, d: int, y):
     out = np.zeros_like(y_arr)
     pos = y_arr > 0.0
     if np.any(pos):
-        yp = y_arr[pos]
-        logf = (
-            (d - 1) * np.log(yp)
-            - math.lgamma(d)
-            - yp
-            - math.log(p_record(n, d))
-        )
-        if n > 1:
-            logf = logf + (n - 1) * np.log1p(-np.exp(-yp))
-        out[pos] = np.exp(logf)
+        out[pos] = _density(y_arr[pos], n, d, math.log(p_record(n, d)))
     return float(out[0]) if scalar else out
 
 
@@ -217,25 +202,15 @@ class _CdfTable:
         self.n, self.d = n, d
         lo = 0.0 if n == 1 else max(0.0, math.log(n - 1) - 4.0)
         hi = math.log(max(n - 1, 1)) + 60.0 + 8.0 * d
-        self.edges = np.linspace(lo, hi, 4097)
-        mid = 0.5 * (self.edges[:-1] + self.edges[1:])[:, None]
-        half = 0.5 * (self.edges[1:] - self.edges[:-1])[:, None]
-        ys = (mid + half * _GL_NODES[None, :]).ravel()
-        ws = (half * _GL_WEIGHTS[None, :]).ravel()
-        vals = (self._raw_density(ys) * ws).reshape(-1, 16).sum(axis=1)
+        self.edges, ys, ws = _panel_nodes(lo, hi, 4096)
+        vals = (_density(ys, n, d, 0.0) * ws).reshape(-1, 16).sum(axis=1)
         self.cum = np.concatenate([[0.0], np.cumsum(vals)])
         self.total = float(self.cum[-1])
-
-    def _raw_density(self, ys: np.ndarray) -> np.ndarray:
-        logf = (self.d - 1) * np.log(ys) - math.lgamma(self.d) - ys
-        if self.n > 1:
-            logf = logf + (self.n - 1) * np.log1p(-np.exp(-ys))
-        return np.exp(logf)
 
     def _partial(self, a: float, y: float) -> float:
         half = 0.5 * (y - a)
         nodes = a + half + half * _GL_NODES
-        return float((self._raw_density(nodes) * _GL_WEIGHTS).sum() * half)
+        return float((_density(nodes, self.n, self.d, 0.0) * _GL_WEIGHTS).sum() * half)
 
     def invert(self, u: float) -> float:
         target = u * self.total

@@ -151,34 +151,29 @@ def _cmd_analyze(args) -> int:
 
 # -- exact ------------------------------------------------------------------------
 
-def _exact_dispatch(args) -> float:
-    op = args.op
-    if op == "p-record":
-        return analytics.p_record(_need(args, "n", int), _need(args, "d", int))
-    if op == "mean-records":
-        return analytics.mean_records(_need(args, "n", int), _need(args, "d", int))
-    if op == "mean-remaining":
-        return analytics.mean_remaining(_need(args, "n", int), _need(args, "d", int))
-    if op == "y-density":
-        return float(
-            analytics.y_density(_need(args, "n", int), _need(args, "d", int),
-                                _need(args, "y", float)))
-    if op == "fplus-centering":
-        return analytics.fplus_centering(_need(args, "n", float), _need(args, "d", int))
-    if op == "tm-centering":
-        return analytics.tm_centering(_need(args, "m", float), _need(args, "d", int))
-    if op == "records-time-centering":
-        return analytics.records_time_fplus_centering(
-            _need(args, "m", float), _need(args, "d", int))
-    if op == "asym-mean-records":
-        return analytics.asym_mean_records(
-            _need(args, "n", float), _need(args, "d", int),
-            order=args.order if args.order is not None else _need(args, "d", int))
-    if op == "gumbel-cdf":
-        return float(analytics.gumbel_cdf(_need(args, "y", float)))
-    if op == "normal-cdf":
-        return float(analytics.normal_cdf(_need(args, "y", float)))
-    raise ValueError(f"unknown exact op {op!r}")
+# op -> (function, its (flag, cast) arguments in call order)
+_EXACT_OPS = {
+    "p-record": (analytics.p_record, (("n", int), ("d", int))),
+    "mean-records": (analytics.mean_records, (("n", int), ("d", int))),
+    "mean-remaining": (analytics.mean_remaining, (("n", int), ("d", int))),
+    "y-density": (analytics.y_density, (("n", int), ("d", int), ("y", float))),
+    "fplus-centering": (analytics.fplus_centering, (("n", float), ("d", int))),
+    "tm-centering": (analytics.tm_centering, (("m", float), ("d", int))),
+    "records-time-centering": (analytics.records_time_fplus_centering,
+                               (("m", float), ("d", int))),
+    "asym-mean-records": (analytics.asym_mean_records,
+                          (("n", float), ("d", int), ("order", int))),
+    "gumbel-cdf": (analytics.gumbel_cdf, (("y", float),)),
+    "normal-cdf": (analytics.normal_cdf, (("y", float),)),
+}
+_EXACT_FLAGS = {flag for _, params in _EXACT_OPS.values() for flag, _ in params}
+
+
+def _exact_value(args) -> float:
+    fn, params = _EXACT_OPS[args.op]
+    if args.op == "asym-mean-records" and args.order is None:
+        params = params[:-1] + (("d", int),)  # full order by default
+    return float(fn(*(_need(args, flag, cast) for flag, cast in params)))
 
 
 def _need(args, name: str, cast):
@@ -193,11 +188,11 @@ def _need(args, name: str, cast):
 
 
 def _cmd_exact(args) -> int:
-    value = _exact_dispatch(args)
+    value = _exact_value(args)
     if not math.isfinite(value):
         raise ValueError(f"exact op {args.op!r} produced a non-finite value")
     shown = {k: v for k, v in vars(args).items()
-             if k in {"n", "d", "m", "y", "order"} and v is not None}
+             if k in _EXACT_FLAGS and v is not None}
     for k, v in shown.items():
         if isinstance(v, float) and v.is_integer():
             shown[k] = int(v)
@@ -468,10 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(fn=_cmd_analyze)
 
     exa = sub.add_parser("exact", help="evaluate one exact quantity")
-    exa.add_argument("--op", required=True, choices=[
-        "p-record", "mean-records", "mean-remaining", "y-density",
-        "fplus-centering", "tm-centering", "records-time-centering",
-        "asym-mean-records", "gumbel-cdf", "normal-cdf"])
+    exa.add_argument("--op", required=True, choices=list(_EXACT_OPS))
     exa.add_argument("--n", type=float)
     exa.add_argument("--d", type=int)
     exa.add_argument("--m", type=float)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -81,8 +82,9 @@ def geometric_grid(n_max: int, ratio: float = 1.2) -> tuple:
     before the loop starts (at 1 + 2**-52 and n_max = 100 it would be 10**16).
     """
     n_max = _as_int(n_max, "n_max", 1)
-    if not (ratio > 1.0 and math.isfinite(ratio)):
-        raise ValueError(f"checkpoint_ratio must be finite and exceed 1, got {ratio!r}")
+    if (isinstance(ratio, bool) or not isinstance(ratio, numbers.Real)
+            or not (ratio > 1.0 and math.isfinite(ratio))):
+        raise ValueError(f"checkpoint_ratio must be a finite real exceeding 1, got {ratio!r}")
     if math.log(max(n_max, 10) / 10) > _MAX_GRID_STEPS * math.log(ratio):
         raise ValueError(
             f"checkpoint_ratio {ratio!r} is too close to 1: the grid to "
@@ -118,6 +120,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_int(getattr(self, name), name, 1))
         object.__setattr__(self, "master_seed",
                            _as_int(self.master_seed, "master_seed", 0, 2**64 - 1))
+        for name in ("records_time", "strip_check"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         # a bad ratio fails here, not when the grid is first used
         geometric_grid(self.n_max, self.checkpoint_ratio)
         if self.checkpoints is not None:

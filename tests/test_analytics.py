@@ -55,11 +55,24 @@ def test_rational_oracle_pins():
 
 
 def test_branches_agree_on_overlap():
-    # rational seed vs the positive-term recurrence, 30 <= n <= 200
+    # exact rationals vs the positive-term recurrence, 30 <= n <= 200
     for d in (1, 2, 5):
         for n in range(30, 201, 5):
             exact = float(p_record_exact(n, d))
             assert abs(p_record(n, d) - exact) <= 1e-8 * exact
+
+
+def test_recurrence_matches_rationals_from_n_1():
+    # the recurrence alone serves n = 1 up; worst measured 6.0e-16
+    rtol = 2e-15
+    for d in range(1, 9):
+        total = Fraction(0)
+        for n in range(1, 101):
+            exact = p_record_exact(n, d)
+            total += exact
+            for got, ref in ((p_record(n, d), exact), (mean_records(n, d), total),
+                             (mean_remaining(n, d), n * exact)):
+                assert abs(got - float(ref)) <= rtol * float(ref), (n, d)
 
 
 def test_quadrature_meets_tolerance():
@@ -155,6 +168,25 @@ def test_sample_y_deterministic_and_exact():
     # for n=1, d=1 the law is Exp(1): inversion must match the closed form
     u = ObservationStream(9, 0, 1).take_uniforms(200)[:, 0]
     assert np.max(np.abs(np.array(draws1) + np.log1p(-u))) < 1e-9
+
+
+def test_density_and_sampler_regression_pins():
+    # frozen before the density and its panel grid were shared between
+    # y_density, the sampler's CDF table and the mean integral
+    s = ObservationStream(9, 0, 1)
+    assert [sample_y(s, 10**5, 2) for _ in range(20)] == [
+        11.160887054464967, 12.778330252414877, 13.77382085562043,
+        12.259592922747048, 11.700374079924346, 10.63593837983443,
+        10.642097538447034, 10.710422542709454, 12.965966286429977,
+        10.95999659055177, 11.21928712148541, 10.964665069493082,
+        13.799020569106903, 11.839943321964016, 11.851405745152976,
+        14.012536021105676, 11.01092850179849, 11.055962475690636,
+        10.94143433415478, 12.213935975183391,
+    ]
+    assert [y_density(50, 2, y) for y in (0.5, 2.0, 3.5, 6.0, 12.0)] == [
+        4.767502325418413e-20, 0.002419994432863503, 0.2614302105668443,
+        0.14635385077111815, 0.0008191263587580773,
+    ]
 
 
 def test_sample_y_mean_exponential():

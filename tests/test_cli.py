@@ -78,6 +78,13 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
         assert main(["simulate", "--config", str(bad),
                      "--out-dir", str(tmp_path / "out2")]) == 2
         assert key in capsys.readouterr().err
+    # a truthy string used to turn the flag on
+    for key in ("records_time", "strip_check"):
+        bad.write_text(json.dumps({"d": 2, "n_max": 10, key: "false"}))
+        assert main(["simulate", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "out5")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out5").exists()
     notjson = tmp_path / "not.json"
     notjson.write_text("{nope")
     assert main(["simulate", "--config", str(notjson),

@@ -57,6 +57,11 @@ def test_geometric_grid():
     assert len(geometric_grid(10**7, ratio=1.0002)) > 10**4
     with pytest.raises(ValueError, match="too close to 1"):
         geometric_grid(100, ratio=1.00001)
+    # non-real ratios used to fail with a TypeError that named no field
+    for ratio in ("1.5", None, True, 1 + 0j):
+        with pytest.raises(ValueError, match="checkpoint_ratio"):
+            geometric_grid(100, ratio=ratio)
+    assert geometric_grid(100, ratio=2) == geometric_grid(100, ratio=np.float64(2.0))
 
 
 def test_config_validation(tmp_path):
@@ -87,6 +92,14 @@ def test_config_validation(tmp_path):
     for name in ("d", "n_max", "trials", "top_m", "master_seed"):
         with pytest.raises(ValueError):
             ExperimentConfig(**{"d": 2, "n_max": 10, name: True})
+    for ratio in ("1.5", None):
+        with pytest.raises(ValueError, match="checkpoint_ratio"):
+            ExperimentConfig(d=2, n_max=10, checkpoint_ratio=ratio)
+    # the flags used to be taken by truthiness: records_time="false" turned it on
+    for name in ("records_time", "strip_check"):
+        for bad in ("false", 1, 0, None, np.bool_(True)):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(**{"d": 2, "n_max": 10, name: bad})
     cfg = ExperimentConfig(d=2, n_max=100, checkpoints=(50, 10, 50, np.int64(100)))
     assert cfg.grid == (10, 50, 100)
     for trial in (-1, True):
