@@ -75,6 +75,8 @@ GAMMA_DERIVS_AT_1 = (
     715.0673625273189,
 )
 
+_MAX_FACTORIAL_D = 170  # 171! exceeds the largest double
+
 PREFIX_LIMIT = 30_000  # largest n served by the cached tables
 
 
@@ -281,11 +283,19 @@ def fplus_centering(n, d: int) -> float:
     return log_n + (d - 1) * math.log(log_n) - math.lgamma(d)
 
 
+def _factorial_times(d: int, m: float) -> float:
+    """d! m as a float; ValueError naming d and m where d! is beyond every
+    double (d > 170), rather than forming a huge factorial to overflow on."""
+    if d > _MAX_FACTORIAL_D:
+        raise ValueError(f"d! * m overflows a float at d={d}, m={m!r}")
+    return math.factorial(d) * m
+
+
 def tm_centering(m, d: int) -> float:
     """Centering for the epoch of record m: (d! m)^(1/d) - gamma."""
     d = _as_int(d, "d", 1)
     m = _check_real(m, "m", 2.0)
-    return (math.factorial(d) * m) ** (1.0 / d) - EULER_GAMMA
+    return _factorial_times(d, m) ** (1.0 / d) - EULER_GAMMA
 
 
 def records_time_fplus_centering(m, d: int) -> float:
@@ -296,12 +306,11 @@ def records_time_fplus_centering(m, d: int) -> float:
     """
     d = _as_int(d, "d", 3)
     m = _check_real(m, "m", 2.0)
-    dfact = math.factorial(d)
     return (
-        (dfact * m) ** (1.0 / d)
+        _factorial_times(d, m) ** (1.0 / d)
         + (1.0 - 1.0 / d) * math.log(m)
         + math.log(d)
-        - math.log(dfact) / d
+        - math.log(math.factorial(d)) / d
         - EULER_GAMMA
     )
 
@@ -310,14 +319,19 @@ def asym_mean_records(n, d: int, order: int) -> float:
     """Truncated expansion of E[#records]: (ln n)^d sum_j (-1)^j G_j/(j!(d-j)!) (ln n)^-j
     with G_j the j-th derivative of the Gamma function at 1."""
     d = _as_int(d, "d", 1)
-    order = _as_int(order, "order", 0, d)
+    order = _as_int(order, "order", 0, min(d, len(GAMMA_DERIVS_AT_1) - 1))
     n = _check_real(n, "n", 3.0)
+    if d > _MAX_FACTORIAL_D:
+        raise ValueError(f"d! overflows a float at d={d}")
     log_n = math.log(n)
-    terms = [
-        (-1.0) ** j
-        * GAMMA_DERIVS_AT_1[j]
-        / (math.factorial(j) * math.factorial(d - j))
-        * log_n ** (d - j)
-        for j in range(order + 1)
-    ]
+    try:
+        terms = [
+            (-1.0) ** j
+            * GAMMA_DERIVS_AT_1[j]
+            / (math.factorial(j) * math.factorial(d - j))
+            * log_n ** (d - j)
+            for j in range(order + 1)
+        ]
+    except OverflowError:
+        raise ValueError(f"(ln n)^d overflows a float at n={n!r}, d={d}") from None
     return math.fsum(terms)

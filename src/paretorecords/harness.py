@@ -17,11 +17,12 @@ smallest frontier sum only grows.  Stage 2 drops points some block-start
 record strictly dominates; domination survives record replacement, since a
 record's killer dominates everything the record dominated.  Survivors go
 through the exact sequential path one by one, and the skipped runs are
-absorbed in bulk (count, per-coordinate maxima, top sums).  Blocks hold at
-most as many observations as were seen before them (at least 64), so they
-double up to the chunk size and both filters work against recent records
-early on, when records are frequent.  Net effect: identical books and rows
-at any block size, at around two orders of magnitude less sequential work.
+absorbed in bulk (count and top sums; the per-coordinate maxima are read
+off the records, which hold them).  Blocks hold at most as many
+observations as were seen before them (at least 64), so they double up to
+the chunk size and both filters work against recent records early on, when
+records are frequent.  Net effect: identical books and rows at any block
+size, at around two orders of magnitude less sequential work.
 
 The smallest frontier sum comes from the corners of the record-setting
 region (``frontier.RegionCorners``), which each trial updates record by
@@ -125,6 +126,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         # a bad ratio fails here, not when the grid is first used
         geometric_grid(self.n_max, self.checkpoint_ratio)
+        object.__setattr__(self, "checkpoint_ratio", float(self.checkpoint_ratio))
         if self.checkpoints is not None:
             pts = sorted(set(_as_int(c, "checkpoints", 1, self.n_max) for c in self.checkpoints))
             if not pts:

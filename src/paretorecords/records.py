@@ -97,7 +97,7 @@ def _strict_gt(x, y):
 
 
 class RecordBook:
-    """Record set, counters, and summary statistics for one trajectory.
+    """Record set and summary statistics for one trajectory.
 
     Parameters
     ----------
@@ -108,57 +108,71 @@ class RecordBook:
 
     Notes
     -----
-    Counters: ``n`` observations seen, ``R`` records ever set, ``r`` current
-    records, ``beta`` broken records, with ``R == r + beta`` at all times.
-    ``epochs`` lists the observation indices at which records were set, so
-    ``epochs[m-1]`` is the first time the record count reached ``m``.
+    The book stores only what it cannot derive: ``n`` observations seen,
+    ``epochs`` (the observation indices at which records were set, so
+    ``epochs[m-1]`` is the first time the record count reached ``m``), the
+    current records' coordinates, sums and set times (exactly ``r`` rows
+    each, in set-time order) and the top sums.  The rest is read off them:
+    ``R == len(epochs)`` records ever set, ``r`` current records and
+    ``beta == R - r`` broken records.  ``dim_max``, the per-coordinate
+    maximum over all observations, is the maximum over the current records:
+    no point strictly dominates one holding the largest coordinate ``j``
+    (nothing is larger there), so every such point is a current record.
 
     Record storage is a flat array with linear dominance scans: the current
     record count grows polylogarithmically in ``n``, so at simulation scale
     it stays in the tens to hundreds and nothing fancier pays for itself.
+    Records are rare, so a new one simply rebuilds the arrays.
     """
 
     def __init__(self, d: int, top_capacity: int = 64):
         self.d = _as_int(d, "d", 1)
         self.top_capacity = _as_int(top_capacity, "top_capacity", 1)
         self.n = 0
-        self.R = 0
-        self.beta = 0
         self.epochs: list[int] = []
-        self._cap = 64
-        self._coords = np.empty((self._cap, self.d), dtype=np.float64)
-        self._sums = np.empty(self._cap, dtype=np.float64)
-        self._times = np.empty(self._cap, dtype=np.int64)
-        self._r = 0
-        self._dim_max = np.zeros(self.d, dtype=np.float64)
+        self._coords = np.empty((0, self.d), dtype=np.float64)
+        self._sums = np.empty(0, dtype=np.float64)
+        self._times = np.empty(0, dtype=np.int64)
         self._top = np.empty(0, dtype=np.float64)
 
     # -- views ------------------------------------------------------------
 
     @property
+    def R(self) -> int:
+        """Number of records ever set."""
+        return len(self.epochs)
+
+    @property
     def r(self) -> int:
         """Number of current records."""
-        return self._r
+        return self._times.size
+
+    @property
+    def beta(self) -> int:
+        """Number of broken records."""
+        return self.R - self.r
 
     @property
     def record_coords(self) -> np.ndarray:
         """Current record coordinates, shape (r, d), in set-time order. Copy."""
-        return self._coords[: self._r].copy()
+        return self._coords.copy()
 
     @property
     def record_sums(self) -> np.ndarray:
         """Coordinate sums of the current records. Copy."""
-        return self._sums[: self._r].copy()
+        return self._sums.copy()
 
     @property
     def record_times(self) -> np.ndarray:
         """Set times of the current records. Copy."""
-        return self._times[: self._r].copy()
+        return self._times.copy()
 
     @property
     def dim_max(self) -> np.ndarray:
         """Per-coordinate maximum over all observations (0-vector when n=0)."""
-        return self._dim_max.copy()
+        if not self.r:
+            return np.zeros(self.d, dtype=np.float64)
+        return self._coords.max(axis=0)
 
     @property
     def top_sums(self) -> np.ndarray:
@@ -168,48 +182,34 @@ class RecordBook:
     # -- mutation ---------------------------------------------------------
 
     def observe(self, p) -> ObserveOutcome:
-        """Present one observation; update all counters and summaries."""
+        """Present one observation; update the record set and top sums."""
         coords = _as_coords(p, self.d)
         return self._observe_raw(coords, float(coord_sums(coords)))
 
     def _observe_raw(self, coords: np.ndarray, s: float) -> ObserveOutcome:
         # Hot path: caller guarantees coords is a validated 1-d float64[d].
         self.n += 1
-        np.maximum(self._dim_max, coords, out=self._dim_max)
-        self._push_top(s)
-        recs = self._coords[: self._r]
-        if self._r and bool(np.any(np.all(_strict_gt(recs, coords), axis=1))):
+        if self._top.size < self.top_capacity or s > self._top[-1]:
+            self._merge_top((s,))
+        recs = self._coords
+        if bool(np.any(np.all(_strict_gt(recs, coords), axis=1))):
             return ObserveOutcome(False, 0)
-        kills = 0
-        if self._r:
-            killed = np.all(_strict_gt(coords, recs), axis=1)
-            kills = int(np.count_nonzero(killed))
-            if kills:
-                keep = ~killed
-                nkeep = self._r - kills
-                self._coords[:nkeep] = recs[keep]
-                self._sums[:nkeep] = self._sums[: self._r][keep]
-                self._times[:nkeep] = self._times[: self._r][keep]
-                self._r = nkeep
-                self.beta += kills
-        if self._r == self._cap:
-            self._grow()
-        self._coords[self._r] = coords
-        self._sums[self._r] = s
-        self._times[self._r] = self.n
-        self._r += 1
-        self.R += 1
+        keep = ~np.all(_strict_gt(coords, recs), axis=1)
+        self._coords = np.concatenate((recs[keep], coords[None, :]))
+        self._sums = np.concatenate((self._sums[keep], (s,)))
+        self._times = np.concatenate((self._times[keep], (self.n,)))
         self.epochs.append(self.n)
-        return ObserveOutcome(True, kills)
+        return ObserveOutcome(True, keep.size - int(np.count_nonzero(keep)))
 
     def absorb_nonrecords(self, coords: np.ndarray, sums: np.ndarray | None = None) -> None:
         """Account for a batch of observations known not to set records.
 
         The caller must already have established that no row sets a record
         against the current record set (they may dominate nothing and be
-        dominated themselves).  Only ``n``, ``dim_max`` and ``top_sums`` are
-        touched; the record set is left alone.  Feeding a would-be record
-        through this path corrupts the book.
+        dominated themselves).  Only ``n`` and the top sums are touched; the
+        record set, and so ``dim_max``, is left alone, since a row holding a
+        new per-coordinate maximum would be a record.  Feeding a would-be
+        record through this path corrupts the book.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != self.d:
@@ -220,7 +220,6 @@ class RecordBook:
         if sums is None:
             sums = coord_sums(coords)
         self.n += k
-        np.maximum(self._dim_max, coords.max(axis=0), out=self._dim_max)
         self._merge_top(np.asarray(sums, dtype=np.float64))
 
     def dominated_by_current(self, pts: np.ndarray) -> np.ndarray:
@@ -228,34 +227,16 @@ class RecordBook:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError(f"expected a (k, {self.d}) array, got shape {pts.shape}")
-        if self._r == 0 or pts.shape[0] == 0:
+        if self.r == 0 or pts.shape[0] == 0:
             return np.zeros(pts.shape[0], dtype=bool)
-        recs = self._coords[: self._r]
+        recs = self._coords
         # (r, k, d) broadcast; r stays small so this is cheap
         return np.any(np.all(_strict_gt(recs[:, None, :], pts[None, :, :]), axis=2), axis=0)
 
     # -- internals --------------------------------------------------------
 
-    def _grow(self):
-        self._cap *= 2
-        for name in ("_coords", "_sums", "_times"):
-            old = getattr(self, name)
-            shape = (self._cap,) + old.shape[1:]
-            new = np.empty(shape, dtype=old.dtype)
-            new[: old.shape[0]] = old
-            setattr(self, name, new)
-
-    def _push_top(self, s: float):
-        top = self._top
-        full = top.size >= self.top_capacity
-        if full and not s > top[-1]:
-            return
-        idx = int(np.searchsorted(-top, -s, side="right"))
-        tail = top[idx:-1] if full else top[idx:]
-        self._top = np.concatenate((top[:idx], (s,), tail))
-
-    def _merge_top(self, sums: np.ndarray):
-        merged = np.concatenate([self._top, sums])
+    def _merge_top(self, sums):
+        merged = np.concatenate((self._top, sums))
         if merged.size > self.top_capacity:
             cut = merged.size - self.top_capacity
             merged = np.partition(merged, cut)[cut:]
@@ -265,18 +246,14 @@ class RecordBook:
     # -- comparison -------------------------------------------------------
 
     def state_equals(self, other: "RecordBook") -> bool:
-        """Exact equality of counters, record set, and summaries."""
+        """Exact equality of the stored state: counts, record set, top sums."""
         return (
             self.d == other.d
             and self.n == other.n
-            and self.R == other.R
-            and self.beta == other.beta
-            and self._r == other._r
             and self.epochs == other.epochs
-            and np.array_equal(self._coords[: self._r], other._coords[: other._r])
-            and np.array_equal(self._sums[: self._r], other._sums[: other._r])
-            and np.array_equal(self._times[: self._r], other._times[: other._r])
-            and np.array_equal(self._dim_max, other._dim_max)
+            and np.array_equal(self._coords, other._coords)
+            and np.array_equal(self._sums, other._sums)
+            and np.array_equal(self._times, other._times)
             and np.array_equal(self._top, other._top)
         )
 
@@ -286,13 +263,13 @@ class RecordBook:
             "d": self.d,
             "n": self.n,
             "R": self.R,
-            "r": self._r,
+            "r": self.r,
             "beta": self.beta,
-            "dim_max": self._dim_max.tolist(),
+            "dim_max": self.dim_max.tolist(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RecordBook(d={self.d}, n={self.n}, R={self.R}, r={self._r}, beta={self.beta})"
+        return f"RecordBook(d={self.d}, n={self.n}, R={self.R}, r={self.r}, beta={self.beta})"
 
 
 def rebuild_oracle(points: Sequence | Iterable, d: int | None = None) -> RecordBook:
@@ -320,22 +297,10 @@ def rebuild_oracle(points: Sequence | Iterable, d: int | None = None) -> RecordB
 
     book = RecordBook(dim)
     book.n = n
-    book.R = int(np.count_nonzero(is_record))
     book.epochs = [int(i) + 1 for i in np.nonzero(is_record)[0]]
     cur_idx = np.nonzero(is_current)[0]
-    book._r = cur_idx.size
-    book.beta = book.R - book._r
-    while book._cap < max(book._r, 1):
-        book._cap *= 2
-    book._coords = np.empty((book._cap, dim), dtype=np.float64)
-    book._sums = np.empty(book._cap, dtype=np.float64)
-    book._times = np.empty(book._cap, dtype=np.int64)
-    book._coords[: book._r] = arr[cur_idx]
-    book._sums[: book._r] = coord_sums(arr[cur_idx])
-    book._times[: book._r] = cur_idx + 1
-    book._dim_max = arr.max(axis=0)
-    all_sums = coord_sums(arr)
-    keep = min(n, book.top_capacity)
-    order = np.sort(all_sums)[::-1]
-    book._top = order[:keep].copy()
+    book._coords = arr[cur_idx]
+    book._sums = coord_sums(book._coords)
+    book._times = (cur_idx + 1).astype(np.int64)
+    book._top = np.sort(coord_sums(arr))[::-1][: book.top_capacity].copy()
     return book

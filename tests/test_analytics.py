@@ -227,6 +227,9 @@ def test_tm_centering():
         assert math.isclose(tm_centering(m, 1), m - EULER_GAMMA, rel_tol=1e-14)
     with pytest.raises(ValueError):
         tm_centering(1.5, 2)
+    assert math.isfinite(tm_centering(10, 170))
+    with pytest.raises(ValueError, match=r"d=171, m=10\.0"):
+        tm_centering(10, 171)  # 171! exceeds every double
 
 
 def test_records_time_fplus_centering():
@@ -237,6 +240,8 @@ def test_records_time_fplus_centering():
         records_time_fplus_centering(10, 2)  # needs d >= 3
     with pytest.raises(ValueError):
         records_time_fplus_centering(1.0, 3)
+    with pytest.raises(ValueError, match=r"d=200, m=10\.0"):
+        records_time_fplus_centering(10, 200)
 
 
 def test_asym_mean_records():
@@ -247,6 +252,15 @@ def test_asym_mean_records():
         asym_mean_records(n, 2, 3)
     with pytest.raises(ValueError):
         asym_mean_records(2.0, 2, 1)
+    # order defaults to d on the CLI; Gamma's derivatives stop at order 6
+    assert math.isfinite(asym_mean_records(n, 7, 6))
+    with pytest.raises(ValueError, match="order"):
+        asym_mean_records(n, 7, 7)
+    # overflows used to escape as OverflowError: 171! and (ln n)^d beyond a double
+    with pytest.raises(ValueError, match="d=171"):
+        asym_mean_records(n, 171, 0)
+    with pytest.raises(ValueError, match="d=150"):
+        asym_mean_records(1e300, 150, 0)
 
 
 def test_asym_tracks_exact_mean():

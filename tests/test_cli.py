@@ -122,6 +122,13 @@ def test_exact_argument_errors(capsys):
     for bad in ("inf", "nan"):
         assert main(["exact", "--op", "p-record", "--n", bad, "--d", "2"]) == 2
         assert "finite" in capsys.readouterr().err
+    # out of range: these raised IndexError and OverflowError (exit 1)
+    assert main(["exact", "--op", "asym-mean-records", "--n", "100", "--d", "7"]) == 2
+    assert "order" in capsys.readouterr().err
+    for op in ("tm-centering", "records-time-centering"):
+        assert main(["exact", "--op", op, "--m", "10", "--d", "200"]) == 2
+        err = capsys.readouterr().err
+        assert "d=200" in err and "m=10" in err
     res = run_cli("exact", "--op", "no-such-op", "--n", "1")
     assert res.returncode == 2
 

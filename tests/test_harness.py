@@ -95,6 +95,12 @@ def test_config_validation(tmp_path):
     for ratio in ("1.5", None):
         with pytest.raises(ValueError, match="checkpoint_ratio"):
             ExperimentConfig(d=2, n_max=10, checkpoint_ratio=ratio)
+    # a numpy ratio used to be stored as given, and summary.json failed on it
+    for i, ratio in enumerate((np.float32(1.5), np.int64(2))):
+        cfg = ExperimentConfig(d=2, n_max=50, checkpoint_ratio=ratio)
+        assert type(cfg.checkpoint_ratio) is float and cfg.checkpoint_ratio == ratio
+        run_ensemble(cfg, tmp_path / f"ratio{i}")
+        assert (tmp_path / f"ratio{i}" / "summary.json").is_file()
     # the flags used to be taken by truthiness: records_time="false" turned it on
     for name in ("records_time", "strip_check"):
         for bad in ("false", 1, 0, None, np.bool_(True)):
