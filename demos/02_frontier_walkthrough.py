@@ -12,28 +12,24 @@ import sys
 
 import numpy as np
 
-from paretorecords import (
-    ObservationStream,
-    RecordBook,
-    f_minus_witness,
-    frontier_summary,
-)
+from paretorecords import ObservationStream, RecordBook, f_minus, f_plus
+from paretorecords.frontier import RegionCorners
 
 book = RecordBook(d=2)
 stream = ObservationStream(master_seed=7, trial=0, dim=2)
 for row in stream.take(10_000):
     book.observe(row)
 
-summary = frontier_summary(book)
+fm, fp = f_minus(book), f_plus(book)
 print(f"after n={book.n}: r={book.r} current records")
-print(f"F- = {summary.f_minus:.6f}")
-print(f"F+ = {summary.f_plus:.6f}")
-print(f"width = {summary.width:.6f}")
-print(f"per-dimension maxima: {summary.dim_max}")
-print(f"three largest sums seen: {summary.bhat[:3]}")
+print(f"F- = {fm:.6f}")
+print(f"F+ = {fp:.6f}")
+print(f"width = {fp - fm:.6f}")
+print(f"per-dimension maxima: {book.dim_max}")
+print(f"three largest sums seen: {tuple(book.top_sums[:3].tolist())}")
 
-value, witness = f_minus_witness(book)
-print(f"\ncheapest covering point: {witness} (sum {value:.6f})")
+corners = RegionCorners.of(book)
+print(f"\ncheapest covering point: {corners.witness()} (sum {corners.value:.6f})")
 
 # same picture the CLI draws; drop it next to this script
 out = "frontier_demo.svg"

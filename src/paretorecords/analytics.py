@@ -20,8 +20,8 @@ Kung, Schkolnick & Thompson (J. ACM 25(4), 1978),
 which follows from the alternating sum via C(n-1, k)/(k+1) = C(n, k+1)/n
 and is accurate from n = 1.  It is served two ways:
 
-- n <= PREFIX_LIMIT: one table of p and its prefix sums per d, built from
-  the table of d - 1.
+- n <= PREFIX_LIMIT: one table of p and its prefix sums per requested d,
+  built level by level from the highest cached d below it.
 - larger n: the single integral
 
       E[#records among n] = int_0^inf y^{d-1}/(d-1)! * (1-(1-e^{-y})^n) dy,
@@ -110,15 +110,19 @@ _PREFIX: dict[int, np.ndarray] = {}
 
 
 def _ensure_prefix(d: int) -> np.ndarray:
-    """The prefix-sum table of dimension d, built once from that of d - 1."""
+    """The prefix-sum table of dimension d, built once by climbing the
+    recurrence from the highest cached dimension below d (or from d = 1);
+    only d's own two tables are kept, so memory does not grow with d."""
     s = _PREFIX.get(d)
     if s is not None:
         return s
-    ps = np.empty(PREFIX_LIMIT + 1, dtype=np.float64)
-    ps[0] = 0.0
+    level = max((k for k in _PREFIX if k < d), default=0)
+    s = _PREFIX.get(level)
     ms = np.arange(1, PREFIX_LIMIT + 1, dtype=np.float64)
-    ps[1:] = (1.0 if d == 1 else _ensure_prefix(d - 1)[1:]) / ms  # the recurrence
-    s = np.cumsum(ps)  # sequential accumulation: keeps telescoping bitwise
+    for _ in range(level, d):
+        ps = np.zeros(PREFIX_LIMIT + 1)
+        ps[1:] = (1.0 if s is None else s[1:]) / ms  # the recurrence
+        s = np.cumsum(ps)  # sequential accumulation: keeps telescoping bitwise
     _P_TABLE[d] = ps
     _PREFIX[d] = s
     return s

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, records
-from .frontier import f_minus, f_plus, f_minus_bruteforce, frontier_summary
+from .frontier import f_minus, f_plus, f_minus_bruteforce
 from .harness import (
     ExperimentConfig,
     _f17,
@@ -194,8 +194,8 @@ def _cmd_exact(args) -> int:
     shown = {k: v for k, v in vars(args).items()
              if k in _EXACT_FLAGS and v is not None}
     for k, v in shown.items():
-        if isinstance(v, float) and v.is_integer():
-            shown[k] = int(v)
+        if isinstance(v, float) and v.is_integer() and abs(v) < 2**53:
+            shown[k] = int(v)  # above 2**53 the int would print digits never given
     payload = ", ".join(f'"{k}": {v}' for k, v in sorted(shown.items()))
     print('{"op": "%s", %s, "value": %s}' % (args.op, payload, _f17(value)))
     return 0
@@ -355,10 +355,9 @@ def _svg(book: RecordBook, size: int) -> str:
     span = size - 2 * margin
     recs = book.record_coords
     if recs.shape[0]:
-        summary = frontier_summary(book)
-        data_max = 1.15 * max(summary.f_plus, float(recs.max()))
+        fm, fp = f_minus(book), f_plus(book)
+        data_max = 1.15 * max(fp, float(recs.max()))
     else:
-        summary = None
         data_max = 1.0
 
     def fx(x: float) -> float:
@@ -393,8 +392,7 @@ def _svg(book: RecordBook, size: int) -> str:
         parts.append(
             f'<polyline class="staircase" points="{pts}" fill="none" '
             f'stroke="#1f5fa6" stroke-width="2"/>')
-        for s, tag, color in ((summary.f_minus, "fminus", "#c03020"),
-                              (summary.f_plus, "fplus", "#208040")):
+        for s, tag, color in ((fm, "fminus", "#c03020"), (fp, "fplus", "#208040")):
             parts.append(
                 f'<line class="guide-{tag}" x1="{fx(s):.2f}" y1="{fy(0):.2f}" '
                 f'x2="{fx(0):.2f}" y2="{fy(s):.2f}" stroke="{color}" '

@@ -34,38 +34,19 @@ import numpy as np
 from .records import RecordBook, _as_coords, _as_int
 
 __all__ = [
-    "FrontierSummary",
     "IntegerGridPoint",
     "f_plus",
     "f_minus",
-    "f_minus_witness",
     "RegionCorners",
     "f_minus_bruteforce",
     "f_minus_candidate_grid",
     "in_rs",
-    "bhat",
     "sweeten",
     "lower_bound_probability",
-    "frontier_summary",
 ]
 
 # enumeration oracles refuse above this record count (d**r assignments)
 _BRUTE_MAX_RECORDS = 12
-
-
-@dataclass(frozen=True)
-class FrontierSummary:
-    """Frontier extremes and bounding statistics at one trajectory state."""
-
-    f_minus: float
-    f_plus: float
-    width: float
-    dim_max: np.ndarray
-    bhat: tuple
-
-    def __post_init__(self):
-        if self.width < 0.0:
-            raise ValueError("width must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -83,10 +64,8 @@ class IntegerGridPoint:
 
 
 def _records_array(records) -> np.ndarray:
-    """Coerce a RecordBook, or an array or list of points checked by
-    ``_as_coords``, to an (r, d) array."""
-    if isinstance(records, RecordBook):
-        return records.record_coords
+    """Coerce an array or list of points, each checked by ``_as_coords``,
+    to an (r, d) array."""
     rows = [_as_coords(p) for p in records]
     if not rows:
         raise ValueError("need at least one record")
@@ -105,13 +84,6 @@ def f_plus(book: RecordBook) -> float:
 def f_minus(book: RecordBook) -> float:
     """Smallest coordinate sum over the frontier, exactly."""
     return RegionCorners.of(book).value
-
-
-def f_minus_witness(book: RecordBook):
-    """(f_minus, witness): the witness is a corner of the record-setting
-    region whose coordinate sum equals f_minus."""
-    corners = RegionCorners.of(book)
-    return corners.value, corners.witness()
 
 
 class RegionCorners:
@@ -281,30 +253,6 @@ def in_rs(book: RecordBook, x) -> bool:
     """
     coords = _as_coords(x, book.d)
     return not bool(book.dominated_by_current(coords[None, :])[0])
-
-
-def bhat(book: RecordBook, m: int) -> float:
-    """m-th largest coordinate sum among all observations seen."""
-    m = _as_int(m, "m", 1)
-    if m > book.top_capacity:
-        raise ValueError(
-            f"m={m} exceeds the top-sum tracker capacity {book.top_capacity}"
-        )
-    if m > book.n:
-        raise ValueError(f"m={m} exceeds the number of observations {book.n}")
-    return float(book.top_sums[m - 1])
-
-
-def frontier_summary(book: RecordBook) -> FrontierSummary:
-    fm = f_minus(book)
-    fp = f_plus(book)
-    return FrontierSummary(
-        f_minus=fm,
-        f_plus=fp,
-        width=fp - fm,
-        dim_max=book.dim_max,
-        bhat=tuple(book.top_sums.tolist()),
-    )
 
 
 # -- integer repair ----------------------------------------------------------

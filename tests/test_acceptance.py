@@ -10,6 +10,7 @@ README.md gives the numbers behind this.
 """
 
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -39,6 +40,8 @@ from paretorecords.rng import ObservationStream
 
 MASTER_SEED = 20260817
 EULER_GAMMA = 0.5772156649015329
+# the gate ensembles write the same rows for any worker count
+WORKERS = os.cpu_count() or 1
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +50,7 @@ def d2_ensemble(tmp_path_factory):
     cfg = ExperimentConfig(
         d=2, n_max=10**6, trials=2000, master_seed=MASTER_SEED,
         checkpoints=(10**3, 10**4, 10**5, 10**6), strip_check=True, top_m=8)
-    res = run_ensemble(cfg, tmp_path_factory.mktemp("d2-ensemble"))
+    res = run_ensemble(cfg, tmp_path_factory.mktemp("d2-ensemble"), threads=WORKERS)
     by_n = {}
     for row in res.obs_rows:
         by_n.setdefault(row.n, []).append(row)
@@ -60,7 +63,7 @@ def d3_ensemble(tmp_path_factory):
     cfg = ExperimentConfig(
         d=3, n_max=10**7, trials=50, master_seed=MASTER_SEED,
         checkpoints=(10**7,), records_time=True, top_m=8)
-    res = run_ensemble(cfg, tmp_path_factory.mktemp("d3-ensemble"))
+    res = run_ensemble(cfg, tmp_path_factory.mktemp("d3-ensemble"), threads=WORKERS)
     per_trial = {}
     for row in res.rec_rows:
         per_trial.setdefault(row.trial, []).append(row)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from paretorecords import ObservationStream
+from paretorecords import ObservationStream, analytics
 from paretorecords.analytics import (
     EULER_GAMMA,
     GAMMA_DERIVS_AT_1,
@@ -73,6 +73,20 @@ def test_recurrence_matches_rationals_from_n_1():
             for got, ref in ((p_record(n, d), exact), (mean_records(n, d), total),
                              (mean_remaining(n, d), n * exact)):
                 assert abs(got - float(ref)) <= rtol * float(ref), (n, d)
+
+
+def test_prefix_table_high_dimension_keeps_one_level(monkeypatch):
+    # a cold d = 60 climbs 60 levels in a loop and caches only its own
+    monkeypatch.setattr(analytics, "_PREFIX", {})
+    monkeypatch.setattr(analytics, "_P_TABLE", {})
+    rtol = 2e-15
+    total = Fraction(0)
+    for n in range(1, 51):
+        exact = p_record_exact(n, 60)
+        total += exact
+        assert abs(p_record(n, 60) - float(exact)) <= rtol * float(exact), n
+        assert abs(mean_records(n, 60) - float(total)) <= rtol * float(total), n
+    assert len(analytics._PREFIX) == len(analytics._P_TABLE) == 1
 
 
 def test_quadrature_meets_tolerance():

@@ -107,11 +107,16 @@ def test_exact_values_reparse_bit_identical(capsys):
         (["--op", "tm-centering", "--m", "300", "--d", "3"],
          analytics.tm_centering(300, 3)),
         (["--op", "gumbel-cdf", "--y", "0"], math.exp(-1.0)),
+        (["--op", "p-record", "--n", "5", "--d", "5000"], analytics.p_record(5, 5000)),
     ]
     for argv, want in cases:
         assert main(["exact"] + argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == want  # 17 significant digits round-trip
+    # an integer-valued float is echoed as an int only below 2**53
+    assert main(["exact", "--op", "fplus-centering", "--n", "1e308", "--d", "1000000"]) == 0
+    out = capsys.readouterr().out
+    assert '"n": 1e+308' in out and json.loads(out)["n"] == 1e308
 
 
 def test_exact_argument_errors(capsys):

@@ -7,16 +7,12 @@ import pytest
 
 from paretorecords import RecordBook, rebuild_oracle
 from paretorecords.frontier import (
-    FrontierSummary,
     IntegerGridPoint,
     RegionCorners,
-    bhat,
     f_minus,
     f_minus_bruteforce,
     f_minus_candidate_grid,
-    f_minus_witness,
     f_plus,
-    frontier_summary,
     in_rs,
     lower_bound_probability,
     sweeten,
@@ -93,7 +89,9 @@ def test_witness_properties():
         d = int(rng.integers(1, 5))
         n = int(rng.integers(1, 60))
         book = rebuild_oracle(rng.exponential(size=(n, d)))
-        value, w = f_minus_witness(book)
+        corners = RegionCorners.of(book)
+        value, w = corners.value, corners.witness()
+        assert value == f_minus(book)
         assert math.fsum(w.tolist()) == value
         assert in_rs(book, np.maximum(w, 0.0))
         recs = book.record_coords
@@ -166,19 +164,14 @@ def test_in_rs_cases():
         in_rs(b, (1, 2, 3))
 
 
-def test_bhat_cases():
+def test_top_sums_cases():
     b = book_of([(1, 2), (2, 2), (1, 1)])  # sums 3, 4, 2
-    assert bhat(b, 2) == 3.0
-    assert bhat(b, 1) == f_plus(b)
-    with pytest.raises(ValueError):
-        bhat(b, 4)  # more than n observations
-    with pytest.raises(ValueError):
-        bhat(b, 0)
+    assert b.top_sums.tolist() == [4.0, 3.0, 2.0]
+    assert b.top_sums[0] == f_plus(b)
     small = RecordBook(2, top_capacity=2)
     for p in [(1, 2), (2, 2), (1, 1)]:
         small.observe(p)
-    with pytest.raises(ValueError):
-        bhat(small, 3)  # beyond tracker capacity
+    assert small.top_sums.tolist() == [4.0, 3.0]  # capacity caps the list
 
 
 def test_trajectory_invariants():
@@ -193,20 +186,7 @@ def test_trajectory_invariants():
             assert fm >= prev_minus and fp >= prev_plus
             prev_minus, prev_plus = fm, fp
             assert fm <= book.dim_max.min()
-            for m in range(1, book.r + 1):
-                assert fm <= bhat(book, m)
-
-
-def test_frontier_summary():
-    b = book_of([(1, 3), (2, 2), (3, 1)])
-    s = frontier_summary(b)
-    assert (s.f_minus, s.f_plus, s.width) == (3.0, 4.0, 1.0)
-    assert s.bhat == tuple(sorted(s.bhat, reverse=True))
-    assert s.width == s.f_plus - s.f_minus
-    one = frontier_summary(book_of([(5,)]))
-    assert one.width == 0.0 and one.f_minus == one.dim_max[0]
-    with pytest.raises(ValueError):
-        FrontierSummary(2.0, 1.0, -1.0, np.ones(1), (1.0,))
+            assert np.all(fm <= book.top_sums[: book.r])
 
 
 # -- integer repair ------------------------------------------------------------

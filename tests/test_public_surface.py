@@ -32,13 +32,6 @@ def test_all_names_resolve_once(name):
     assert set(exported) <= set(namespace)
 
 
-def _book():
-    book = RecordBook(2)
-    for row in ObservationStream(1, 0, 2).take(8):
-        book.observe(row)
-    return book
-
-
 # numpy integers are stored as plain ints, so run_ensemble can write them
 # to summary.json
 _CFG = ExperimentConfig(d=np.int64(2), n_max=np.int64(20))
@@ -71,7 +64,6 @@ INTEGER_ENTRIES = [
     ("ObservationStream.take", lambda k, tmp: ObservationStream(0).take(k), 2),
     ("ObservationStream.take_uniforms", lambda k, tmp: ObservationStream(0).take_uniforms(k), 2),
     ("ObservationStream.seek", lambda k, tmp: ObservationStream(0).seek(k), 2),
-    ("bhat(m)", lambda k, tmp: frontier.bhat(_book(), k), 2),
     ("sweeten(m)", lambda k, tmp: frontier.sweeten([1.0, 1.0], k), 2),
     ("IntegerGridPoint(coords)", lambda k, tmp: frontier.IntegerGridPoint((k, 1)), 2),
     ("lower_bound_probability(d)",
