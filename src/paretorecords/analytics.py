@@ -35,6 +35,7 @@ quadratures pin the accuracy in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -201,8 +202,28 @@ def y_density(n: int, d: int, y):
     return float(out[0]) if scalar else out
 
 
+_NEWTON_TOL = 1e-13  # stop once the Newton step is this small
+_BRACKET_TOL = 1e-12  # or once the bracket is this narrow
+_MAX_ITER = 80  # density calls per draw at most
+# GL16 nodes of [0, 1], then 1 itself: scaled onto [a, y], one density call
+# gives both the partial integral over [a, y] and the density at y
+_GL_UNIT_AND_END = np.append(0.5 * (1.0 + _GL_NODES), 1.0)
+
+
 class _CdfTable:
-    """Panelized CDF of the unnormalized record-sum density for one (n, d)."""
+    """Panelized CDF of the unnormalized record-sum density for one (n, d).
+
+    ``invert`` picks the panel holding the target mass by ``searchsorted``
+    and solves ``F(y) = u * total`` inside it by safeguarded Newton (rtsafe,
+    Press et al., Numerical Recipes 9.4).  It starts from linear
+    interpolation on the panel's mass; each iteration makes one density
+    call, which gives ``F(y)`` (the panel's base mass plus GL16 over
+    ``[a, y]``) and ``f(y)`` together.  A Newton step is taken only if it
+    stays inside the bracket and at least halves the step before it;
+    otherwise the bracket is bisected.  The iteration stops when the Newton
+    step is below 1e-13 or the bracket below 1e-12, after at most 80
+    density calls.
+    """
 
     def __init__(self, n: int, d: int):
         self.n, self.d = n, d
@@ -213,43 +234,60 @@ class _CdfTable:
         self.cum = np.concatenate([[0.0], np.cumsum(vals)])
         self.total = float(self.cum[-1])
 
-    def _partial(self, a: float, y: float) -> float:
-        half = 0.5 * (y - a)
-        nodes = a + half + half * _GL_NODES
-        return float((_density(nodes, self.n, self.d, 0.0) * _GL_WEIGHTS).sum() * half)
-
     def invert(self, u: float) -> float:
+        n, d = self.n, self.d
         target = u * self.total
         k = int(np.searchsorted(self.cum, target, side="right")) - 1
         k = min(max(k, 0), self.edges.size - 2)
         a, b = float(self.edges[k]), float(self.edges[k + 1])
         base = float(self.cum[k])
-        lo, hi = a, b
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if base + self._partial(a, mid) < target:
-                lo = mid
+        mass = float(self.cum[k + 1]) - base
+        y = a + (b - a) * ((target - base) / mass if mass > 0.0 else 0.0)
+        if not a < y < b:  # at y = a every node is a, where log(0) may sit
+            y = 0.5 * (a + b)
+        lo, hi, step = a, b, b - a
+        for _ in range(_MAX_ITER):
+            dens = _density(a + (y - a) * _GL_UNIT_AND_END, n, d, 0.0)
+            partial = 0.5 * (y - a) * float(dens[:16] @ _GL_WEIGHTS)
+            # base - target first: where the CDF is flat in floats (base ~ total),
+            # base + partial would round the partial mass away
+            excess = (base - target) + partial
+            if excess < 0.0:
+                lo = y
             else:
-                hi = mid
-            if hi - lo < 1e-12:
+                hi = y
+            f_y = float(dens[16])
+            # no Newton step where the mass over [a, y] underflowed to zero
+            newton = excess / f_y if partial > 0.0 and f_y > 0.0 else math.inf
+            # converged before the bracket test: a converged step may land on lo or hi
+            if abs(newton) < _NEWTON_TOL:
+                return min(max(y - newton, lo), hi)
+            if hi - lo < _BRACKET_TOL:
                 break
+            if lo < y - newton < hi and abs(newton) <= 0.5 * abs(step):
+                step = newton
+            else:
+                step = y - 0.5 * (lo + hi)
+            y -= step
         return 0.5 * (lo + hi)
 
 
-_CDF_TABLES: dict[tuple, _CdfTable] = {}
+@functools.lru_cache(maxsize=64)  # a table holds about 65 KB
+def _cdf_table(n: int, d: int) -> _CdfTable:
+    return _CdfTable(n, d)
 
 
 def sample_y(stream, n: int, d: int) -> float:
-    """Exact draw from the record-sum density via inverse-CDF bisection.
+    """Exact draw from the record-sum density by inverting its CDF.
 
-    Consumes one observation address from the stream (its first coordinate
-    slot), so samples are reproducible and stream-chunking independent.
+    The panel table picks the panel holding the drawn mass, and safeguarded
+    Newton solves inside it until the step is below 1e-13 or the bracket
+    below 1e-12 (see ``_CdfTable``).  Consumes one observation address from
+    the stream (its first coordinate slot), so samples are reproducible and
+    stream-chunking independent.
     """
     n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
-    key = (n, d)
-    table = _CDF_TABLES.get(key)
-    if table is None:
-        table = _CDF_TABLES[key] = _CdfTable(n, d)
+    table = _cdf_table(n, d)
     u = float(stream.take_uniforms(1)[0, 0])
     return table.invert(u)
 

@@ -189,13 +189,13 @@ def test_density_and_sampler_regression_pins():
     # y_density, the sampler's CDF table and the mean integral
     s = ObservationStream(9, 0, 1)
     assert [sample_y(s, 10**5, 2) for _ in range(20)] == [
-        11.160887054464967, 12.778330252414877, 13.77382085562043,
-        12.259592922747048, 11.700374079924346, 10.63593837983443,
-        10.642097538447034, 10.710422542709454, 12.965966286429977,
-        10.95999659055177, 11.21928712148541, 10.964665069493082,
-        13.799020569106903, 11.839943321964016, 11.851405745152976,
-        14.012536021105676, 11.01092850179849, 11.055962475690636,
-        10.94143433415478, 12.213935975183391,
+        11.160887054465245, 12.778330252414763, 13.773820855620173,
+        12.259592922747302, 11.700374079924456, 10.635938379834666,
+        10.642097538447164, 10.710422542709171, 12.96596628642977,
+        10.959996590551814, 11.219287121485225, 10.964665069493071,
+        13.799020569107169, 11.839943321963872, 11.851405745152912,
+        14.012536021105435, 11.010928501798693, 11.055962475690778,
+        10.941434334154868, 12.213935975183553,
     ]
     assert [y_density(50, 2, y) for y in (0.5, 2.0, 3.5, 6.0, 12.0)] == [
         4.767502325418413e-20, 0.002419994432863503, 0.2614302105668443,
@@ -207,6 +207,88 @@ def test_sample_y_mean_exponential():
     s = ObservationStream(77, 0, 1)
     draws = [sample_y(s, 1, 1) for _ in range(10_000)]
     assert abs(float(np.mean(draws)) - 1.0) < 0.03
+    # relative accuracy near y = 0, where an absolute stop width leaves 1e-7
+    exact = -np.log1p(-ObservationStream(77, 0, 1).take_uniforms(10_000)[:, 0])
+    assert np.max(np.abs(np.array(draws) - exact) / exact) <= 1e-11
+
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+
+
+def _bisection_reference(table, u):
+    """The sampler's inversion before safeguarded Newton, frozen as its
+    oracle: 60-step bisection inside the panel, with a GL16 quadrature of
+    the density over [a, mid] at each step."""
+
+    def partial(a, y):
+        half = 0.5 * (y - a)
+        nodes = a + half + half * _GL16[0]
+        dens = analytics._density(nodes, table.n, table.d, 0.0)
+        return float((dens * _GL16[1]).sum() * half)
+
+    target = u * table.total
+    k = int(np.searchsorted(table.cum, target, side="right")) - 1
+    k = min(max(k, 0), table.edges.size - 2)
+    a, b = float(table.edges[k]), float(table.edges[k + 1])
+    base = float(table.cum[k])
+    lo, hi = a, b
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if base + partial(a, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+TAIL_US = (0.0, 2.0**-53, 1e-300, 1e-17, 1e-10, 0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-52)
+
+
+# below y ~ 1e-16, exp(-y) rounds to 1 and the density's log1p(-exp(-y)) is
+# -inf (density 0); the tiny tail u put Newton's first nodes there
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log1p:RuntimeWarning")
+@pytest.mark.parametrize("n, d", [
+    (1, 1), (2, 1), (50, 3), (10**3, 4), (10**5, 2), (10**7, 2), (10, 8), (10**12, 3),
+])
+def test_sample_y_matches_bisection_reference(n, d, monkeypatch):
+    table = analytics._CdfTable(n, d)
+    us = [float(u) for u in ObservationStream(5, 0, 1).take_uniforms(500)[:, 0]]
+    reference = [_bisection_reference(table, u) for u in us + list(TAIL_US)]
+
+    calls = []
+    density = analytics._density
+
+    def counting_density(*args):
+        calls[-1] += 1
+        return density(*args)
+
+    monkeypatch.setattr(analytics, "_density", counting_density)
+    draws = []
+    for u in us + list(TAIL_US):
+        calls.append(0)
+        draws.append(table.invert(u))
+    draws = np.array(draws)
+
+    assert np.max(np.abs(draws - np.array(reference))) <= 1e-12
+    assert np.all(np.isfinite(draws))
+    assert np.all((draws >= table.edges[0]) & (draws <= table.edges[-1]))
+    assert max(calls[: len(us)]) <= 4  # one density call per Newton iteration
+    assert max(calls) <= 80  # the cap: only the tails fall back to bisection
+
+
+def test_cdf_table_cache_is_bounded():
+    analytics._cdf_table.cache_clear()
+    s = ObservationStream(3, 0, 1)
+    first = [sample_y(s, 2, 2) for _ in range(50)]
+    for n in range(3, 303):
+        analytics._cdf_table(n, 2)
+    info = analytics._cdf_table.cache_info()
+    assert info.currsize <= info.maxsize < 300
+    s = ObservationStream(3, 0, 1)
+    assert [sample_y(s, 2, 2) for _ in range(50)] == first  # rebuilt after eviction
+    assert analytics._cdf_table.cache_info().misses == info.misses + 1
 
 
 # -- reference cdfs ---------------------------------------------------------------
