@@ -23,7 +23,6 @@ from . import analytics, records
 from .frontier import f_minus, f_plus, f_minus_bruteforce
 from .harness import (
     ExperimentConfig,
-    _f17,
     ks_statistic,
     lil_diagnostics,
     load_rows,
@@ -197,7 +196,7 @@ def _cmd_exact(args) -> int:
         if isinstance(v, float) and v.is_integer() and abs(v) < 2**53:
             shown[k] = int(v)  # above 2**53 the int would print digits never given
     payload = ", ".join(f'"{k}": {v}' for k, v in sorted(shown.items()))
-    print('{"op": "%s", %s, "value": %s}' % (args.op, payload, _f17(value)))
+    print('{"op": "%s", %s, "value": %.17g}' % (args.op, payload, value))
     return 0
 
 

@@ -1,11 +1,15 @@
 """Trial engine, ensemble outputs, and the harness statistics."""
 
+import csv
 import importlib.util
 import json
 import math
 import struct
 import sys
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
+from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from paretorecords.frontier import f_minus
 from paretorecords.harness import (
     CheckpointRow,
     ExperimentConfig,
-    _row_fields,
+    _line_formatter,
     _simulate,
     geometric_grid,
     ks_statistic,
@@ -40,7 +44,7 @@ def tree_bytes(root: Path) -> dict:
 
 def serialize(rows):
     # NaN-safe row comparison: 17g text round-trips floats exactly
-    return [_row_fields(r, strip_check=True) for r in rows]
+    return [_line_formatter(len(r.bhat), strip_check=True)(r) for r in rows]
 
 
 def test_geometric_grid():
@@ -309,6 +313,128 @@ def test_aggregate_file_matches_rows(tmp_path):
         assert math.isnan(got[(first, "median")]["strip_cov"])
 
 
+# Frozen references: the writers as they were before the output stage was
+# batched, one csv.writer cell and one numpy reduction per column at a time.
+# The batched writers must give the same bytes.
+
+def _ref_f17(x):
+    return format(float(x), ".17g")
+
+
+_REF_TYPES = get_type_hints(CheckpointRow)
+_REF_WRITE = {int: str, str: str, float: _ref_f17}
+_REF_AGG_STATS = {
+    "mean": np.mean,
+    "sd": lambda x: x.std(ddof=1) if x.size > 1 else math.nan,
+    "median": np.median,
+    "q10": lambda x: np.quantile(x, 0.10),
+    "q90": lambda x: np.quantile(x, 0.90),
+    "min": np.min,
+    "max": np.max,
+    "count": np.size,
+}
+
+
+def reference_write_rows(path, rows, top_m, strip_check):
+    schema = [(f.name, _REF_TYPES[f.name]) for f in dataclass_fields(CheckpointRow)
+              if f.name != "strip_cov" or strip_check]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = []
+        for name, kind in schema:
+            header += [f"bhat_{k}" for k in range(1, top_m + 1)] if kind is tuple else [name]
+        writer.writerow(header)
+        for row in rows:
+            cells = []
+            for name, kind in schema:
+                value = getattr(row, name)
+                cells += map(_ref_f17, value) if kind is tuple else [_REF_WRITE[kind](value)]
+            writer.writerow(cells)
+
+
+def reference_write_aggregates(path, rows, key_attr):
+    keys = np.array([getattr(r, key_attr) for r in rows], dtype=np.int64)
+    table = np.array([[getattr(r, c) for c in AGG_COLS] for r in rows],
+                     dtype=np.float64).reshape(len(rows), len(AGG_COLS))
+    order = np.argsort(keys, kind="stable")
+    keys, table = keys[order], table[order]
+    uniq, starts = np.unique(keys, return_index=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([key_attr, "statistic"] + AGG_COLS)
+        for key, block in zip(uniq.tolist(), np.split(table, starts[1:])):
+            finite = [col[np.isfinite(col)] for col in block.T]
+            for stat, reduce in _REF_AGG_STATS.items():
+                cells = [reduce(x) if x.size or stat == "count" else math.nan for x in finite]
+                writer.writerow([str(key), stat] + [_ref_f17(v) for v in cells])
+
+
+def assert_writers_match_reference(tmp_path, rows, key, top_m, strip_check):
+    cfg = ExperimentConfig(d=2, n_max=10, top_m=top_m, strip_check=strip_check)
+    for write, ref in ((lambda p: harness._write_rows(p, rows, cfg),
+                        lambda p: reference_write_rows(p, rows, top_m, strip_check)),
+                       (lambda p: harness._write_aggregates(p, rows, key),
+                        lambda p: reference_write_aggregates(p, rows, key))):
+        write(tmp_path / "got.csv")
+        ref(tmp_path / "want.csv")
+        got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
+        assert got == want
+
+
+def test_writers_match_reference_on_an_ensemble(tmp_path):
+    cfg = ExperimentConfig(d=3, n_max=2000, trials=8, master_seed=41,
+                           records_time=True, strip_check=True, top_m=5)
+    res = run_ensemble(cfg, tmp_path / "out")
+    # at a fixed m, norm_r (n >= 3) and strip_cov (n >= 16) are finite in
+    # some trials and not in others: the batched reduction must group them
+    mixed = set()
+    for m in {r.m for r in res.rec_rows}:
+        for col in ("norm_r", "strip_cov"):
+            finite = {math.isfinite(getattr(r, col)) for r in res.rec_rows if r.m == m}
+            if finite == {True, False}:
+                mixed.add(col)
+    assert mixed == {"norm_r", "strip_cov"}
+    for rows, key in ((res.obs_rows, "n"), (res.rec_rows, "m")):
+        assert_writers_match_reference(tmp_path, rows, key, cfg.top_m, cfg.strip_check)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_writers_match_reference_on_extreme_values(tmp_path):
+    inf, nan, tiny, big = math.inf, math.nan, 5e-324, 1e308
+
+    def row(trial, n, floats, bhat):
+        f_minus, f_plus, width, dim_max_min, norm_fplus, norm_width, norm_r, strip = floats
+        return CheckpointRow(trial, "obs", n, trial + 1, 1, trial, f_minus, f_plus, width,
+                             dim_max_min, bhat, norm_fplus, norm_width, norm_r, strip)
+
+    rows = [
+        # n = 5: width is never finite (count 0); the other columns are finite
+        # in different sets of trials, and 1e308 + 1e308 overflows the mean
+        row(0, 5, (inf, big, nan, -0.0, tiny, -inf, 0.0, -0.0), (big, tiny, -0.0)),
+        row(1, 5, (-0.0, big, nan, tiny, nan, 2.5, nan, 1.0), (inf, nan, -inf)),
+        row(2, 5, (tiny, -inf, nan, -big, -tiny, nan, 3.0, np.float64(0.5)), (nan, nan, nan)),
+        row(3, 5, (nan, 1.0, nan, 1.0, 7.0, 1e-300, -1e-300, nan), (0.1, 0.2, 0.3)),
+        # n = 7: one row, so every sd is nan
+        row(0, 7, (1.0, 2.0, 1.0, 0.5, -0.0, tiny, big, 0.25), (2.0, 1.0, 0.5)),
+        # n = 2: the key sorts first although its row comes last
+        row(4, 2, (nan, nan, nan, nan, nan, nan, nan, nan), (nan, nan, nan)),
+    ]
+    for strip_check in (True, False):
+        assert_writers_match_reference(tmp_path, rows, "n", 3, strip_check)
+
+
+def test_writers_match_reference_on_no_rows(tmp_path):
+    for strip_check in (True, False):
+        assert_writers_match_reference(tmp_path, [], "m", 4, strip_check)
+    cfg = ExperimentConfig(d=2, n_max=10, top_m=2)
+    harness._write_rows(tmp_path / "rows.csv", [], cfg)
+    harness._write_aggregates(tmp_path / "agg.csv", [], "n")
+    assert (tmp_path / "rows.csv").read_bytes() == (
+        b"trial,clock,n,m,r,beta,f_minus,f_plus,width,dim_max_min,bhat_1,bhat_2,"
+        b"norm_fplus,norm_width,norm_r\r\n")
+    assert (tmp_path / "agg.csv").read_bytes().count(b"\r\n") == 1
+
+
 def test_failed_write_leaves_no_partial_or_complete_looking_output(tmp_path, monkeypatch):
     out = tmp_path / "out"
     run_ensemble(ExperimentConfig(d=2, n_max=300, trials=2, master_seed=1), out)
@@ -338,15 +464,16 @@ def load_module(path: Path):
 
 
 def test_output_bytes_match_benchmark_pins(tmp_path, monkeypatch):
-    # the benchmark's rows_d2 (simulate and analyze CLI calls) and ens_d3
-    # operations at its default seed, threads=1, with the benchmark's own
+    # the benchmark's rows_d2 (simulate and analyze CLI calls), ens_d3 and
+    # ens_d2 operations at its default seed, threads=1, with the benchmark's own
     # checks; their files must hash to the pinned digests
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmark/ as it is
     bench = Path(__file__).resolve().parent.parent / "benchmark"
     child = load_module(bench / "child.py")
     seed = load_module(bench / "run.py").DEFAULT_SEED
     pins = json.loads((bench / "pins.json").read_text())
-    for name, workload in (("rows_d2", child.RowsCli), ("ens_d3", child.Ensemble)):
+    for name, workload in (("rows_d2", child.RowsCli), ("ens_d3", child.Ensemble),
+                           ("ens_d2", child.Ensemble)):
         (tmp_path / name).mkdir()
         op = workload(name, seed, tmp_path / name).op(0, deep=True)
         assert op["failures"] == []
@@ -416,6 +543,24 @@ def test_strip_coverage_cases():
     covs = [run_trial(cfg, t)[0].strip_cov for t in range(10)]
     assert min(covs) >= 0.9
     assert float(np.mean(covs)) >= 0.95
+
+
+def test_strip_coverage_counts_the_mask_exactly():
+    # the share of records in the strip is count / r, bitwise what the mean
+    # of the in-strip mask gives, for any mask
+    rng = np.random.default_rng(12)
+    n, d = 10**4, 2
+    log_n = math.log(n)
+    lo = log_n - math.log(math.log(log_n)) - math.log(4 * (d - 1))
+    hi = log_n + 4 * (d - 1) * math.log(log_n)
+    outside = np.array([lo - 1.0, hi + 1.0])
+    for size in list(range(1, 40)) + rng.integers(40, 301, 60).tolist():
+        mask = rng.random(size) < rng.random()
+        sums = np.where(mask, (lo + hi) / 2, outside[rng.integers(0, 2, size)])
+        book = SimpleNamespace(d=d, n=n, record_sums=sums)
+        got = strip_coverage(book)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", float(np.mean(mask)))
 
 
 def test_strip_column_gating():
