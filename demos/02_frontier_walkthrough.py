@@ -10,17 +10,14 @@ mark those two sums; the record staircase sits between them.
 import subprocess
 import sys
 
-import numpy as np
+from paretorecords import ExperimentConfig, f_plus, trajectory
 
-from paretorecords import ObservationStream, RecordBook, f_minus, f_plus
-from paretorecords.frontier import RegionCorners
+# the simulation engine, run to one checkpoint at n = 10^4: the same book as
+# feeding the 10^4 observations to RecordBook.observe one at a time
+cfg = ExperimentConfig(d=2, n_max=10_000, master_seed=7, checkpoints=(10_000,))
+(_, book, corners), = trajectory(cfg, trial=0)
 
-book = RecordBook(d=2)
-stream = ObservationStream(master_seed=7, trial=0, dim=2)
-for row in stream.take(10_000):
-    book.observe(row)
-
-fm, fp = f_minus(book), f_plus(book)
+fm, fp = corners.value, f_plus(book)
 print(f"after n={book.n}: r={book.r} current records")
 print(f"F- = {fm:.6f}")
 print(f"F+ = {fp:.6f}")
@@ -28,7 +25,6 @@ print(f"width = {fp - fm:.6f}")
 print(f"per-dimension maxima: {book.dim_max}")
 print(f"three largest sums seen: {tuple(book.top_sums[:3].tolist())}")
 
-corners = RegionCorners.of(book)
 print(f"\ncheapest covering point: {corners.witness()} (sum {corners.value:.6f})")
 
 # same picture the CLI draws; drop it next to this script

@@ -27,6 +27,7 @@ from .harness import (
     lil_diagnostics,
     load_rows,
     run_ensemble,
+    trajectory,
 )
 from .records import RecordBook, rebuild_oracle
 from .rng import ObservationStream
@@ -337,20 +338,18 @@ def _render_book(args) -> RecordBook:
                 raise ValueError(f"bad point {token!r}; expected 'x,y'")
             book.observe(np.array([float(parts[0]), float(parts[1])]))
         return book
-    n = args.n if args.n is not None else 0
-    if n:
-        stream = ObservationStream(args.seed or 0, args.trial, 2)
-        left = n
-        while left:
-            take = min(left, 1 << 14)
-            for row in stream.take(take):
-                book.observe(row)
-            left -= take
+    if not args.n:
+        return book
+    cfg = ExperimentConfig(d=2, n_max=args.n, master_seed=args.seed, checkpoints=(args.n,))
+    (_, book, _), = trajectory(cfg, args.trial)
     return book
 
 
+_SVG_MARGIN = 42  # px on each side of the plot
+
+
 def _svg(book: RecordBook, size: int) -> str:
-    margin = 42.0
+    margin = float(_SVG_MARGIN)
     span = size - 2 * margin
     recs = book.record_coords
     if recs.shape[0]:
@@ -410,6 +409,9 @@ def _svg(book: RecordBook, size: int) -> str:
 def _cmd_render(args) -> int:
     if args.d != 2:
         raise ValueError(f"render supports d=2 only, got d={args.d}")
+    if args.size <= 2 * _SVG_MARGIN:
+        raise ValueError(f"--size must exceed {2 * _SVG_MARGIN} px (two "
+                         f"{_SVG_MARGIN}-px margins), got {args.size}")
     book = _render_book(args)
     doc = _svg(book, args.size)
     if args.out is None:

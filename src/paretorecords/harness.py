@@ -1,8 +1,11 @@
 """Reproducible trials, ensembles, and the statistical comparisons.
 
-A trial feeds ``n_max`` observations through a RecordBook and emits a
-checkpoint row on the observation clock (fixed n grid) and, optionally, on
-the records-time clock (one row per record epoch).  Trials are addressed by
+A trial feeds ``n_max`` observations through a RecordBook.  ``trajectory``
+is the engine: it yields the live book and region corners at each point of
+the observation clock (fixed n grid) and, optionally, of the records-time
+clock (one state per record epoch).  ``_simulate`` (behind ``run_trial``)
+turns those states into checkpoint rows; ``render --n`` and the frontier
+demo take the final book from the same engine.  Trials are addressed by
 (master_seed, trial) through counter-based streams, so every row is a pure
 function of the config: ensembles can run across any number of workers and
 still produce byte-identical output files.  The CSV columns, writer, reader
@@ -66,6 +69,7 @@ __all__ = [
     "CheckpointRow",
     "EnsembleResult",
     "LilReport",
+    "trajectory",
     "run_trial",
     "run_ensemble",
     "ks_statistic",
@@ -203,11 +207,22 @@ def _make_row(cfg: ExperimentConfig, trial: int, clock: str, book: RecordBook, f
     )
 
 
-def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
+def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
+    """Run one trial through the filtered engine, yielding its states.
+
+    Yields ``(clock, book, corners)``: ``("rec", ...)`` after each record
+    when ``cfg.records_time`` is set, and ``("obs", ...)`` at each point of
+    ``cfg.grid``.  ``book`` is the trial's RecordBook and ``corners`` its
+    RegionCorners (``corners.value`` is F-).  Both are live: the generator
+    advances them in place when it resumes, so read or copy what you need
+    before asking for the next state.  The states are identical to feeding
+    the trial's stream to a plain book one point at a time, at any ``chunk``.
+    Like any generator, it checks ``trial`` only when first advanced.
+    """
+    trial = _as_int(trial, "trial", 0)
     stream = ObservationStream(cfg.master_seed, trial, cfg.d)
     book = RecordBook(cfg.d, top_capacity=cfg.top_m)
     grid = cfg.grid
-    rows: list[CheckpointRow] = []
     corners = RegionCorners(cfg.d)
     gi = 0
     pos = 0
@@ -227,20 +242,26 @@ def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
             if out.is_record:
                 corners.add(pts[i])
                 if cfg.records_time:
-                    rows.append(_make_row(cfg, trial, "rec", book, corners.value))
+                    yield "rec", book, corners
             prev = i + 1
         if prev < take:
             book.absorb_nonrecords(pts[prev:take], sums[prev:take])
         pos += take
         if gi < len(grid) and pos == grid[gi]:
-            rows.append(_make_row(cfg, trial, "obs", book, corners.value))
+            yield "obs", book, corners
             gi += 1
-    return rows
+
+
+def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
+    # trajectory has checked trial before the first row, so int() only
+    # turns a numpy integer into the plain int the rows hold
+    return [_make_row(cfg, int(trial), clock, book, corners.value)
+            for clock, book, corners in trajectory(cfg, trial, chunk)]
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All checkpoint rows of one trial; deterministic in (cfg, trial)."""
-    return _simulate(cfg, _as_int(trial, "trial", 0))
+    return _simulate(cfg, trial)
 
 
 # -- serialization -------------------------------------------------------------

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from paretorecords import analytics, records
-from paretorecords.cli import main
+from paretorecords.cli import _svg, main
 from paretorecords.harness import ExperimentConfig, run_ensemble
+from paretorecords.rng import ObservationStream
 
 
 def run_cli(*argv):
@@ -208,6 +209,37 @@ def test_render_simulated_and_errors(tmp_path, capsys):
     assert main(["render", "--points", "1,2",
                  "--out", str(tmp_path / "no" / "dir.svg")]) == 3
     capsys.readouterr()
+    # two 42-px margins leave no plot span at 84 px or less
+    for size in ("-5", "0", "84"):
+        assert main(["render", "--n", "10", "--size", size]) == 2
+        assert "--size" in capsys.readouterr().err
+    assert main(["render", "--n", "10", "--size", "85"]) == 0
+    assert 'width="85"' in capsys.readouterr().out
+
+
+def _per_point_render_book(n, seed, trial):
+    # frozen copy of the per-point loop render used before it ran the engine
+    book = records.RecordBook(2)
+    stream = ObservationStream(seed, trial, 2)
+    left = n
+    while left:
+        take = min(left, 1 << 14)
+        for row in stream.take(take):
+            book.observe(row)
+        left -= take
+    return book
+
+
+def test_render_matches_per_point_reference(capsys):
+    for trial in (0, 3):
+        for n in (1, 63, 64, 65, 2000, 10**4):
+            assert main(["render", "--n", str(n), "--seed", "7",
+                         "--trial", str(trial)]) == 0
+            want = _svg(_per_point_render_book(n, 7, trial), 640)
+            assert capsys.readouterr().out == want, (n, trial)
+    # no observations: the axes-only picture of an empty book
+    assert main(["render", "--n", "0"]) == 0
+    assert capsys.readouterr().out == _svg(records.RecordBook(2), 640)
 
 
 def test_render_deterministic(capsys):

@@ -115,6 +115,7 @@ def test_config_validation(tmp_path):
     for trial in (-1, True):
         with pytest.raises(ValueError):
             run_trial(ExperimentConfig(d=2, n_max=10), trial)
+    assert type(run_trial(ExperimentConfig(d=2, n_max=10), np.int64(1))[0].trial) is int
     with pytest.raises(ValueError):
         run_ensemble(ExperimentConfig(d=2, n_max=10), tmp_path, threads=True)
 
@@ -129,6 +130,26 @@ def test_trial_determinism_and_chunk_invariance():
     assert serialize(_simulate(cfg, 2, chunk=1 << 16)) == base
     # a different trial index gives a different trajectory
     assert serialize(run_trial(cfg, 3)) != base
+
+
+def test_trajectory_book_is_the_per_point_book():
+    # the engine's filters are exact: at every state it yields, its book
+    # (record coordinates, sums and times included) is the book fed the same
+    # stream one point at a time, up to the same n
+    for d in (1, 2, 3, 4):
+        cfg = ExperimentConfig(d=d, n_max=2000, master_seed=31 + d,
+                               records_time=True, top_m=5)
+        for chunk in (17, harness._CHUNK):
+            stream = ObservationStream(cfg.master_seed, 2, d)
+            plain = RecordBook(d, top_capacity=cfg.top_m)
+            clocks = []
+            for clock, book, _ in harness.trajectory(cfg, 2, chunk):
+                for row in stream.take(book.n - plain.n):
+                    plain.observe(row)
+                assert book.state_equals(plain), (d, chunk, clock, book.n)
+                clocks.append(clock)
+            assert plain.n == cfg.n_max
+            assert clocks.count("obs") == len(cfg.grid) and clocks.count("rec") == plain.R
 
 
 def test_records_time_f_minus_matches_full_solves():

@@ -78,6 +78,8 @@ INTEGER_ENTRIES = [
     ("ExperimentConfig(checkpoints)",
      lambda k, tmp: ExperimentConfig(d=2, n_max=20, checkpoints=(k, 20)), 5),
     ("run_trial(trial)", lambda k, tmp: harness.run_trial(_CFG, k), 3),
+    # a generator checks its arguments when it is first advanced
+    ("trajectory(trial)", lambda k, tmp: next(harness.trajectory(_CFG, k)), 3),
     ("run_ensemble(threads)", lambda k, tmp: harness.run_ensemble(_CFG, tmp, threads=k), 1),
 ]
 
