@@ -29,7 +29,7 @@ from .harness import (
     run_ensemble,
     trajectory,
 )
-from .records import RecordBook, rebuild_oracle
+from .records import RecordBook, _as_int, rebuild_oracle
 from .rng import ObservationStream
 
 __all__ = ["main"]
@@ -338,10 +338,15 @@ def _render_book(args) -> RecordBook:
                 raise ValueError(f"bad point {token!r}; expected 'x,y'")
             book.observe(np.array([float(parts[0]), float(parts[1])]))
         return book
-    if not args.n:
+    if args.n is None:
         return book
-    cfg = ExperimentConfig(d=2, n_max=args.n, master_seed=args.seed, checkpoints=(args.n,))
-    (_, book, _), = trajectory(cfg, args.trial)
+    n = _as_int(args.n, "--n", 0)
+    seed = _as_int(args.seed, "--seed", 0, 2**64 - 1)
+    trial = _as_int(args.trial, "--trial", 0)
+    if not n:
+        return book
+    cfg = ExperimentConfig(d=2, n_max=n, master_seed=seed, checkpoints=(n,))
+    (_, book, _), = trajectory(cfg, trial)
     return book
 
 

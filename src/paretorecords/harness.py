@@ -17,20 +17,30 @@ aggregate writer reduces the columns of a group that are finite in the same
 trials together, along the last axis of one contiguous array, which gives
 bitwise the values of reducing each column alone.
 
-The engine filters each block of observations in two vectorized stages
-before touching the book. Stage 1 drops points whose coordinate sum is
-below the current smallest frontier sum (minus a safety margin much larger
-than any rounding error): such points are strictly dominated, because the
-smallest frontier sum only grows.  Stage 2 drops points some block-start
-record strictly dominates; domination survives record replacement, since a
-record's killer dominates everything the record dominated.  Survivors go
-through the exact sequential path one by one, and the skipped runs are
-absorbed in bulk (count and top sums; the per-coordinate maxima are read
-off the records, which hold them).  Blocks hold at most as many
-observations as were seen before them (at least 64), so they double up to
-the chunk size and both filters work against recent records early on, when
-records are frequent.  Net effect: identical books and rows at any block
-size, at around two orders of magnitude less sequential work.
+The engine filters each block of observations before touching the book.
+Stage 1 runs on the uniforms, before the exponential map: in exact
+arithmetic a point's coordinate sum is at least ``T`` when and only when
+``prod_j (1 - u_j) <= exp(-T)``, and every ``1 - u_j`` is exact, so one
+product per point keeps the points whose sum can reach the block's floor:
+the smaller of the smallest frontier sum (minus a safety margin much larger
+than any rounding error) and the smallest kept top sum (no floor while the
+top sums are still filling).  ``_uniform_survivors`` proves that no point whose computed
+sum reaches the floor is dropped.  Only survivors are mapped to
+coordinates and summed; the map is elementwise and the sums are row-wise,
+so they get bitwise the values a full-block transform gives.  Of them,
+points whose sum is below the smallest frontier sum minus the margin are
+strictly dominated, because the smallest frontier sum only grows.  Stage 2
+drops points some block-start record strictly dominates; domination
+survives record replacement, since a record's killer dominates everything
+the record dominated.  The rest go through the exact sequential path one
+by one, and the skipped runs are absorbed in bulk (their count and their
+surviving sums, which hold every sum that can enter the top sums; the
+per-coordinate maxima are read off the records, which hold them).  Blocks
+hold at most as many observations as were seen before them (at least 64),
+so they double up to the chunk size and the filters work against recent
+records early on, when records are frequent.  Net effect: identical books
+and rows at any block size, with the exponential map and the sums paid
+only by the few points that can matter.
 
 The smallest frontier sum comes from the corners of the record-setting
 region (``frontier.RegionCorners``), which each trial updates record by
@@ -62,7 +72,7 @@ from .analytics import (
 )
 from .frontier import RegionCorners, f_plus
 from .records import RecordBook, _as_int, coord_sums
-from .rng import ObservationStream
+from .rng import ObservationStream, _exponential
 
 __all__ = [
     "ExperimentConfig",
@@ -82,6 +92,7 @@ __all__ = [
 _CHUNK = 1 << 16
 _FIRST_BLOCK = 64  # blocks start this small and double up to the chunk size
 _SUM_FILTER_MARGIN = 1e-9  # dwarfs rounding error in any realistic sum
+_UNIFORM_FILTER_LIMIT = 700.0  # exp(-700) is a normal double; see _uniform_survivors
 _MAX_GRID_STEPS = 10**5  # far more checkpoints than any grid needs
 
 
@@ -207,6 +218,56 @@ def _make_row(cfg: ExperimentConfig, trial: int, clock: str, book: RecordBook, f
     )
 
 
+def _uniform_survivors(u: np.ndarray, floor: float, buf: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``u`` whose coordinate sum can reach ``floor``.
+
+    ``u`` is a ``(k, d)`` block of stream uniforms, each a multiple of
+    2**-53 in [0, 1), and ``buf`` a ``(2, >= k)`` buffer.  A row is kept
+    when its product ``q = (1 - u_1)...(1 - u_d)``, multiplied column by
+    column, is at most ``exp(slack - floor)`` with ``slack = (d + 2) *
+    2**-44 * (1 + |floor|)``.  Every row is kept when ``floor`` is -inf or
+    at least ``_UNIFORM_FILTER_LIMIT``.
+
+    No row whose computed sum ``s`` (``coord_sums`` of ``_exponential``) is
+    at least ``floor`` is dropped.  Take every rounding, in ``log1p``,
+    ``exp``, a sum, a product or a difference, to be within ``eta = 2**-48``
+    relative (libm's are within a few ulp, 2**-52 each; the basic
+    operations are correctly rounded, within 2**-53).  For ``floor <= 0``
+    the threshold is ``exp`` of a positive number, so at least 1, and ``q``
+    is at most 1, every factor being so.  For ``0 < floor < 700``, let
+    ``A = sum_j -ln(1 - u_j)`` be the exact sum and ``P = exp(-A)`` the exact
+    product; each ``1 - u_j`` is exact.  The computed coordinates are within
+    ``eta`` of the exact ones and nonnegative, and summing ``d`` of them
+    adds at most ``d - 1`` roundings, so ``s <= A (1 + eta)**d``, and
+    ``s >= floor`` gives ``A >= floor (1 - d eta)``.  While the running
+    product stays normal, ``q <= P (1 + 2**-53)**(d - 1)``, so ``ln q <=
+    -floor + d eta floor + d 2**-53``.  The threshold is at least
+    ``exp(slack - floor) (1 - eta)`` after the rounding of ``slack -
+    floor`` (within ``2**-53 (1 + floor)``), so its log is at least
+    ``-floor + slack - 2**-53 (1 + floor) - 2 eta``.  The first bound is below the second
+    when ``slack >= (d + 2) eta (1 + floor)``, which the slack exceeds
+    sixteen times over.  If the running product falls below the smallest
+    normal, 2**-1022, rounding is monotone and every factor is at most 1,
+    so ``q <= 2**-1022 < exp(-700) (1 - eta)``, and the row is kept.  The
+    slack is below 5e-10 for ``d <= 10`` and any floor under the limit, so
+    it keeps almost nothing the exact test would not.
+
+    Above the limit ``exp`` of ``-floor`` nears the subnormal range, where
+    relative error bounds fail; no sum comes near it on this clock (a
+    stream coordinate is at most ``53 ln 2 < 37``), but the guard keeps the
+    test exact anyway.
+    """
+    k, d = u.shape
+    if not -math.inf < floor < _UNIFORM_FILTER_LIMIT:
+        return np.arange(k)
+    q, w = buf[0, :k], buf[1, :k]
+    np.subtract(1.0, u[:, 0], out=q)
+    for j in range(1, d):
+        np.multiply(q, np.subtract(1.0, u[:, j], out=w), out=q)
+    slack = (d + 2) * 2.0**-44 * (1.0 + abs(floor))
+    return np.nonzero(q <= math.exp(slack - floor))[0]
+
+
 def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
     """Run one trial through the filtered engine, yielding its states.
 
@@ -224,28 +285,36 @@ def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
     book = RecordBook(cfg.d, top_capacity=cfg.top_m)
     grid = cfg.grid
     corners = RegionCorners(cfg.d)
+    # stage-1 products, reused by every block: past the first 64 observations
+    # a block holds at most as many as were seen before it, so at most n_max/2
+    buf = np.empty((2, min(chunk, cfg.n_max, max(cfg.n_max // 2, _FIRST_BLOCK))))
     gi = 0
     pos = 0
     while pos < cfg.n_max:
         target = grid[gi] if gi < len(grid) else cfg.n_max
         take = min(chunk, target - pos, max(pos, _FIRST_BLOCK))
-        pts = stream.take(take)
+        u = stream.take_uniforms(take)
+        fmin = corners.value - _SUM_FILTER_MARGIN
+        top = book.top_sums
+        floor = min(fmin, top[-1] if top.size == cfg.top_m else -math.inf)
+        kept = _uniform_survivors(u, floor, buf)
+        pts = _exponential(u[kept])
         sums = coord_sums(pts)
-        cand = np.nonzero(sums >= corners.value - _SUM_FILTER_MARGIN)[0]
+        cand = np.nonzero(sums >= fmin)[0]
         if cand.size:
             cand = cand[~book.dominated_by_current(pts[cand])]
-        prev = 0
-        for i in cand.tolist():
-            if i > prev:
-                book.absorb_nonrecords(pts[prev:i], sums[prev:i])
+        prev = done = 0  # survivors and observations of the block absorbed
+        for i, at in zip(cand.tolist(), kept[cand].tolist()):
+            if at > done:
+                book.absorb_nonrecords(at - done, sums[prev:i])
             out = book._observe_raw(pts[i], float(sums[i]))
             if out.is_record:
                 corners.add(pts[i])
                 if cfg.records_time:
                     yield "rec", book, corners
-            prev = i + 1
-        if prev < take:
-            book.absorb_nonrecords(pts[prev:take], sums[prev:take])
+            prev, done = i + 1, at + 1
+        if done < take:
+            book.absorb_nonrecords(take - done, sums[prev:])
         pos += take
         if gi < len(grid) and pos == grid[gi]:
             yield "obs", book, corners

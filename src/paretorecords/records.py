@@ -201,26 +201,28 @@ class RecordBook:
         self.epochs.append(self.n)
         return ObserveOutcome(True, keep.size - int(np.count_nonzero(keep)))
 
-    def absorb_nonrecords(self, coords: np.ndarray, sums: np.ndarray | None = None) -> None:
-        """Account for a batch of observations known not to set records.
+    def absorb_nonrecords(self, count: int, sums) -> None:
+        """Account for ``count`` observations known not to set records.
 
-        The caller must already have established that no row sets a record
-        against the current record set (they may dominate nothing and be
-        dominated themselves).  Only ``n`` and the top sums are touched; the
-        record set, and so ``dim_max``, is left alone, since a row holding a
-        new per-coordinate maximum would be a record.  Feeding a would-be
-        record through this path corrupts the book.
+        The caller must already have established that none of them sets a
+        record against the current record set (they may dominate nothing and
+        be dominated themselves).  ``sums`` holds coordinate sums of some of
+        them: at least every one above the smallest kept top sum (so all of
+        them while fewer than ``top_capacity`` sums are kept); the others may
+        be included or left out, since they cannot enter the top sums.  Only
+        ``n`` and the top sums are touched; the record set, and so
+        ``dim_max``, is left alone, since a point holding a new
+        per-coordinate maximum would be a record.  Feeding a would-be record
+        through this path corrupts the book.
         """
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != self.d:
-            raise ValueError(f"expected a (k, {self.d}) array, got shape {coords.shape}")
-        k = coords.shape[0]
-        if k == 0:
-            return
-        if sums is None:
-            sums = coord_sums(coords)
-        self.n += k
-        self._merge_top(np.asarray(sums, dtype=np.float64))
+        count = _as_int(count, "count", 0)
+        sums = np.asarray(sums, dtype=np.float64)
+        if sums.ndim != 1 or sums.size > count:
+            raise ValueError(f"expected at most {count} sums in a 1-d array, "
+                             f"got shape {sums.shape}")
+        self.n += count
+        if sums.size:
+            self._merge_top(sums)
 
     def dominated_by_current(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask: which rows of ``pts`` some current record dominates."""

@@ -28,6 +28,17 @@ _DOUBLES_PER_BLOCK = 4  # Philox4x64 emits 4 uint64 words per counter increment
 _U64 = 1 << 64
 
 
+def _exponential(u: np.ndarray) -> np.ndarray:
+    """The exponential map: Exponential(1) values -log1p(-U), elementwise.
+
+    Finite and nonnegative for every U in [0, 1).  The one definition of an
+    observation's coordinates, whether a stream or the trial engine (which
+    maps only the uniforms it keeps) applies it; being elementwise, it gives
+    a uniform the same value wherever it sits in an array.
+    """
+    return -np.log1p(-u)
+
+
 class ObservationStream:
     """Deterministic stream of iid Exponential(1) observation vectors.
 
@@ -88,10 +99,10 @@ class ObservationStream:
     def take(self, count: int) -> np.ndarray:
         """Next ``count`` observations as a ``(count, dim)`` array.
 
-        Coordinates are iid Exponential(1), obtained as -log1p(-U) so the
-        value is finite and nonnegative for every U in [0, 1).
+        Coordinates are iid Exponential(1), the uniforms of
+        ``take_uniforms`` under the exponential map -log1p(-U).
         """
-        return -np.log1p(-self.take_uniforms(count))
+        return _exponential(self.take_uniforms(count))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -215,6 +215,14 @@ def test_render_simulated_and_errors(tmp_path, capsys):
         assert "--size" in capsys.readouterr().err
     assert main(["render", "--n", "10", "--size", "85"]) == 0
     assert 'width="85"' in capsys.readouterr().out
+    # the message names the flag the user typed, not the config field
+    for flag, value, kind in (("--n", "-3", "a nonnegative integer"),
+                              ("--seed", "-1", "an integer in [0, 18446744073709551615]"),
+                              ("--seed", str(2**64), "an integer in [0, 18446744073709551615]"),
+                              ("--trial", "-1", "a nonnegative integer")):
+        args = ["render", "--n", "10", flag, value] if flag != "--n" else ["render", flag, value]
+        assert main(args) == 2
+        assert f"error: {flag} must be {kind}, got {value}" in capsys.readouterr().err
 
 
 def _per_point_render_book(n, seed, trial):

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import struct
@@ -34,8 +35,9 @@ from paretorecords.harness import (
     run_trial,
     strip_coverage,
 )
-from paretorecords.records import RecordBook
-from paretorecords.rng import ObservationStream
+from paretorecords.frontier import RegionCorners
+from paretorecords.records import RecordBook, coord_sums
+from paretorecords.rng import ObservationStream, _exponential
 
 
 def tree_bytes(root: Path) -> dict:
@@ -150,6 +152,102 @@ def test_trajectory_book_is_the_per_point_book():
                 clocks.append(clock)
             assert plain.n == cfg.n_max
             assert clocks.count("obs") == len(cfg.grid) and clocks.count("rec") == plain.R
+
+
+def _frozen_full_block_trajectory(cfg, trial, chunk):
+    # frozen copy of the engine's block loop from before stage 1 ran on the
+    # uniforms: every observation of a block is mapped and summed, and the
+    # sum filter runs on the whole block (absorb passes every run sum)
+    stream = ObservationStream(cfg.master_seed, trial, cfg.d)
+    book = RecordBook(cfg.d, top_capacity=cfg.top_m)
+    grid = cfg.grid
+    corners = RegionCorners(cfg.d)
+    gi = 0
+    pos = 0
+    while pos < cfg.n_max:
+        target = grid[gi] if gi < len(grid) else cfg.n_max
+        take = min(chunk, target - pos, max(pos, 64))
+        pts = stream.take(take)
+        sums = coord_sums(pts)
+        cand = np.nonzero(sums >= corners.value - 1e-9)[0]
+        if cand.size:
+            cand = cand[~book.dominated_by_current(pts[cand])]
+        prev = 0
+        for i in cand.tolist():
+            if i > prev:
+                book.absorb_nonrecords(i - prev, sums[prev:i])
+            out = book._observe_raw(pts[i], float(sums[i]))
+            if out.is_record:
+                corners.add(pts[i])
+                if cfg.records_time:
+                    yield "rec", book, corners
+            prev = i + 1
+        if prev < take:
+            book.absorb_nonrecords(take - prev, sums[prev:take])
+        pos += take
+        if gi < len(grid) and pos == grid[gi]:
+            yield "obs", book, corners
+            gi += 1
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 3000), (2, 3000), (3, 2000), (4, 800), (5, 400)])
+def test_trajectory_matches_frozen_full_block_engine(d, n_max, monkeypatch):
+    # stage 1 on the uniforms maps and sums only survivors; at every state
+    # the book (top sums included) and F- are the full-block engine's, also
+    # while the top sums are still filling (top_m up to 200)
+    mapped = []
+
+    def counting_exponential(u):
+        mapped.append(len(u))
+        return _exponential(u)
+
+    monkeypatch.setattr(harness, "_exponential", counting_exponential)
+    observed = 0
+    for top_m in (1, 8, 64, 200):
+        for records_time in (False, True):
+            cfg = ExperimentConfig(d=d, n_max=n_max, master_seed=50 + d, top_m=top_m,
+                                   records_time=records_time)
+            for chunk in (17, harness._CHUNK):
+                states = itertools.zip_longest(harness.trajectory(cfg, 1, chunk),
+                                               _frozen_full_block_trajectory(cfg, 1, chunk),
+                                               fillvalue=(None, None, None))
+                for (clock, book, corners), (ref_clock, ref, ref_corners) in states:
+                    assert clock == ref_clock, (top_m, records_time, chunk)
+                    assert corners.value == ref_corners.value
+                    assert book.state_equals(ref), (top_m, records_time, chunk, clock, book.n)
+                observed += cfg.n_max
+    assert sum(mapped) < observed  # the uniform filter does drop points
+
+
+def test_uniform_filter_keeps_every_sum_at_the_floor():
+    # points crafted with sums within a few ulp of floors near 0, 13 and 60:
+    # every point whose computed sum is at least the floor survives, and
+    # points clearly below it are dropped
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 4, 5):
+        for target in (1e-3, 0.5, 13.0, 60.0):
+            # one coordinate is at most 53 ln 2 < 37
+            target = min(target, 36.0 * d)
+            a = rng.dirichlet(np.ones(d), size=2000) * target
+            a *= 1.0 + 0.01 * rng.standard_normal((2000, 1))
+            u = np.minimum(np.floor(-np.expm1(-a) * 2.0**53) / 2.0**53, 1.0 - 2.0**-53)
+            sums = coord_sums(_exponential(u))
+            buf = np.empty((2, len(u) + 5))
+            for s in sums[:25]:
+                floors = [s]
+                for direction in (-math.inf, math.inf):
+                    f = s
+                    for _ in range(3):
+                        f = np.nextafter(f, direction)
+                        floors.append(f)
+                for floor in floors:
+                    kept = np.zeros(len(u), dtype=bool)
+                    kept[harness._uniform_survivors(u, float(floor), buf)] = True
+                    assert kept[sums >= floor].all(), (d, target, floor)
+                    assert not kept[sums < floor - 1e-9 * (1 + floor)].any(), (d, target, floor)
+        for floor in (-math.inf, harness._UNIFORM_FILTER_LIMIT, 1e300, math.inf):
+            assert np.array_equal(harness._uniform_survivors(u, floor, buf),
+                                  np.arange(len(u)))
 
 
 def test_records_time_f_minus_matches_full_solves():

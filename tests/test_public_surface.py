@@ -58,6 +58,8 @@ INTEGER_ENTRIES = [
     ("asym_mean_records(order)", lambda k, tmp: analytics.asym_mean_records(100.0, 2, k), 1),
     ("RecordBook(d)", lambda k, tmp: RecordBook(k), 2),
     ("RecordBook(top_capacity)", lambda k, tmp: RecordBook(2, top_capacity=k), 2),
+    ("RecordBook.absorb_nonrecords(count)",
+     lambda k, tmp: RecordBook(2).absorb_nonrecords(k, [1.0, 2.0]), 2),
     ("ObservationStream(master_seed)", lambda k, tmp: ObservationStream(k), 3),
     ("ObservationStream(trial)", lambda k, tmp: ObservationStream(0, trial=k), 3),
     ("ObservationStream(dim)", lambda k, tmp: ObservationStream(0, dim=k), 2),

@@ -229,11 +229,49 @@ def test_absorb_nonrecords_matches_observe_only():
     for i, flag in enumerate(flags):
         if flag:
             if i > run_start:
-                mix.absorb_nonrecords(pts[run_start:i])
+                run = pts[run_start:i]
+                mix.absorb_nonrecords(len(run), coord_sums(run))
             mix.observe(pts[i])
             run_start = i + 1
-    mix.absorb_nonrecords(pts[run_start:])
+    run = pts[run_start:]
+    mix.absorb_nonrecords(len(run), coord_sums(run))
     assert mix.state_equals(ref)
+
+
+def test_absorb_nonrecords_needs_only_sums_that_can_enter_the_top():
+    # a run may pass just its sums above the smallest kept top sum (all of
+    # them while the top sums are filling); the rest cannot enter the top,
+    # so after every record the book is the one fed point by point
+    rng = np.random.default_rng(37)
+    pts = rng.exponential(size=(3000, 3))
+    for cap in (1, 8, 64, 200):
+        ref = RecordBook(3, top_capacity=cap)
+        mix = RecordBook(3, top_capacity=cap)
+        run_start = 0
+        dropped = 0
+        for i, row in enumerate(pts):
+            record = ref.observe(row).is_record
+            if not record and i + 1 < len(pts):
+                continue
+            end = i if record else i + 1
+            sums = coord_sums(pts[run_start:end])
+            top = mix.top_sums
+            if top.size == cap:
+                keep = sums > top[-1]
+                dropped += int(keep.size - np.count_nonzero(keep))
+                sums = sums[keep]
+            mix.absorb_nonrecords(end - run_start, sums)
+            if record:
+                mix.observe(row)
+            run_start = i + 1
+            assert mix.state_equals(ref), (cap, i)
+        assert dropped > len(pts) // 2  # the case does leave sums out
+    book = RecordBook(2)
+    book.absorb_nonrecords(3, [])
+    assert book.n == 3 and book.top_sums.size == 0
+    for count, sums in ((1, [1.0, 2.0]), (2, [[1.0, 2.0]]), (-1, []), (2.0, [])):
+        with pytest.raises(ValueError):
+            book.absorb_nonrecords(count, sums)
 
 
 def test_dominated_by_current_matches_observe():
