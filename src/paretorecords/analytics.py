@@ -20,8 +20,8 @@ Kung, Schkolnick & Thompson (J. ACM 25(4), 1978),
 which follows from the alternating sum via C(n-1, k)/(k+1) = C(n, k+1)/n
 and is accurate from n = 1.  It is served two ways:
 
-- n <= PREFIX_LIMIT: one table of p and its prefix sums per requested d,
-  built level by level from the highest cached d below it.
+- n <= PREFIX_LIMIT: a table of p and its prefix sums per recently
+  requested d, built level by level from the highest cached level below it.
 - larger n: the single integral
 
       E[#records among n] = int_0^inf y^{d-1}/(d-1)! * (1-(1-e^{-y})^n) dy,
@@ -35,6 +35,8 @@ quadratures pin the accuracy in the tests.
 
 from __future__ import annotations
 
+import array
+import bisect
 import functools
 import math
 from fractions import Fraction
@@ -104,28 +106,61 @@ def p_record(n: int, d: int) -> float:
 
 # -- record-count means --------------------------------------------------------
 
-# d -> p(m, d) and S[m] = sum_{k<=m} p(k, d) for 0 <= m <= PREFIX_LIMIT; p_record
-# hands out the very floats that were summed, so telescoping is bitwise
+# requested d -> p(m, d) and S[m] = sum_{k<=m} p(k, d) for 0 <= m <= PREFIX_LIMIT
+# (_PREFIX least recently requested first); p_record hands out the very floats
+# that were summed, so telescoping is bitwise
 _P_TABLE: dict[int, np.ndarray] = {}
 _PREFIX: dict[int, np.ndarray] = {}
+# levels passed on climbs, as (p, S) pairs, oldest first
+_CHECKPOINTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_LEVELS_KEPT = 8  # requested dimensions whose tables stay cached
+_CHECKPOINTS_KEPT = 10  # climb levels kept besides them
+
+
+def _recurrence_step(s, ms: np.ndarray):
+    """p(., d) and its prefix sums from the prefix sums ``s`` of d - 1
+    (``None`` below d = 1)."""
+    ps = np.zeros(PREFIX_LIMIT + 1)
+    ps[1:] = (1.0 if s is None else s[1:]) / ms  # the recurrence
+    return ps, np.cumsum(ps)  # sequential accumulation: keeps telescoping bitwise
 
 
 def _ensure_prefix(d: int) -> np.ndarray:
-    """The prefix-sum table of dimension d, built once by climbing the
-    recurrence from the highest cached dimension below d (or from d = 1);
-    only d's own two tables are kept, so memory does not grow with d."""
-    s = _PREFIX.get(d)
+    """The prefix-sum table of dimension d.
+
+    The last ``_LEVELS_KEPT`` dimensions requested keep their two tables.
+    Any other d climbs the recurrence from the highest cached level below it
+    (from d = 1 if there is none) and keeps the levels it passes at distances
+    1, 3, 6, 10, ... below d as checkpoints (``_CHECKPOINTS_KEPT`` in all,
+    oldest evicted first).  A checkpoint is promoted when it is
+    requested, and is the base of a climb to a level above it, so the
+    dimensions of a descending sweep cost about two climb steps each and an
+    ascending sweep one.  Every route gives the same floats: each level is
+    one function of the level below.  Whatever d is, the cache holds at
+    most ``_LEVELS_KEPT + _CHECKPOINTS_KEPT`` levels.
+    """
+    s = _PREFIX.pop(d, None)
     if s is not None:
+        _PREFIX[d] = s  # re-inserted: _PREFIX's order is the eviction order
         return s
-    level = max((k for k in _PREFIX if k < d), default=0)
-    s = _PREFIX.get(level)
-    ms = np.arange(1, PREFIX_LIMIT + 1, dtype=np.float64)
-    for _ in range(level, d):
-        ps = np.zeros(PREFIX_LIMIT + 1)
-        ps[1:] = (1.0 if s is None else s[1:]) / ms  # the recurrence
-        s = np.cumsum(ps)  # sequential accumulation: keeps telescoping bitwise
+    if d in _CHECKPOINTS:
+        ps, s = _CHECKPOINTS.pop(d)
+    else:
+        base = max((k for k in (*_PREFIX, *_CHECKPOINTS) if k < d), default=0)
+        s = _CHECKPOINTS[base][1] if base in _CHECKPOINTS else _PREFIX.get(base)
+        keep = {d - j * (j + 1) // 2 for j in range(1, _CHECKPOINTS_KEPT + 1)}
+        ms = np.arange(1, PREFIX_LIMIT + 1, dtype=np.float64)
+        for level in range(base + 1, d + 1):
+            ps, s = _recurrence_step(s, ms)
+            if level in keep:
+                _CHECKPOINTS[level] = ps, s
+                if len(_CHECKPOINTS) > _CHECKPOINTS_KEPT:
+                    del _CHECKPOINTS[next(iter(_CHECKPOINTS))]
     _P_TABLE[d] = ps
     _PREFIX[d] = s
+    if len(_PREFIX) > _LEVELS_KEPT:
+        oldest = next(iter(_PREFIX))
+        del _PREFIX[oldest], _P_TABLE[oldest]
     return s
 
 
@@ -213,7 +248,7 @@ _GL_UNIT_AND_END = np.append(0.5 * (1.0 + _GL_NODES), 1.0)
 class _CdfTable:
     """Panelized CDF of the unnormalized record-sum density for one (n, d).
 
-    ``invert`` picks the panel holding the target mass by ``searchsorted``
+    ``invert`` picks the panel holding the target mass by ``bisect``
     and solves ``F(y) = u * total`` inside it by safeguarded Newton (rtsafe,
     Press et al., Numerical Recipes 9.4).  It starts from linear
     interpolation on the panel's mass; each iteration makes one density
@@ -233,15 +268,19 @@ class _CdfTable:
         vals = (_density(ys, n, d, 0.0) * ws).reshape(-1, 16).sum(axis=1)
         self.cum = np.concatenate([[0.0], np.cumsum(vals)])
         self.total = float(self.cum[-1])
+        # the same floats, read as Python floats: a draw's panel search and
+        # reads cost no numpy call
+        self._cum = array.array("d", self.cum)
+        self._edges = array.array("d", self.edges)
 
     def invert(self, u: float) -> float:
         n, d = self.n, self.d
+        cum, edges = self._cum, self._edges
         target = u * self.total
-        k = int(np.searchsorted(self.cum, target, side="right")) - 1
-        k = min(max(k, 0), self.edges.size - 2)
-        a, b = float(self.edges[k]), float(self.edges[k + 1])
-        base = float(self.cum[k])
-        mass = float(self.cum[k + 1]) - base
+        k = min(max(bisect.bisect_right(cum, target) - 1, 0), len(edges) - 2)
+        a, b = edges[k], edges[k + 1]
+        base = cum[k]
+        mass = cum[k + 1] - base
         y = a + (b - a) * ((target - base) / mass if mass > 0.0 else 0.0)
         if not a < y < b:  # at y = a every node is a, where log(0) may sit
             y = 0.5 * (a + b)
@@ -272,7 +311,7 @@ class _CdfTable:
         return 0.5 * (lo + hi)
 
 
-@functools.lru_cache(maxsize=64)  # a table holds about 65 KB
+@functools.lru_cache(maxsize=64)  # a table holds about 130 KB
 def _cdf_table(n: int, d: int) -> _CdfTable:
     return _CdfTable(n, d)
 

@@ -217,6 +217,15 @@ def _suite_stream_determinism() -> str | None:
     s.seek(40)
     if not np.array_equal(s.take(10), bulk[40:50]):
         return "seek and bulk generation disagree"
+    # the stream's kept generator, read straight after a read (a seek to the
+    # cursor does not move it) and after a seek backwards, must give what a
+    # fresh stream reads at the same address
+    for at in (50, 7):
+        s.seek(at)
+        fresh = ObservationStream(5, 1, 2)
+        fresh.seek(at)
+        if not np.array_equal(s.take_uniforms(3), fresh.take_uniforms(3)):
+            return f"reused generator disagrees with a fresh stream at {at}"
     return None
 
 

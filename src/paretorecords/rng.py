@@ -9,9 +9,17 @@ never share mutable generator state, they just compute at disjoint addresses.
 Implementation: Philox4x64 keyed by (master_seed, trial). The Philox counter
 advances one unit per 4 generated doubles, so observation ``i`` of dimension
 ``d`` owns the block range ``[i*B, (i+1)*B)`` with ``B = ceil(d/4)`` blocks,
-and positioning is exact: seeking to observation ``i`` means constructing a
-generator whose counter starts at block ``i*B``. Any unused doubles at the
-tail of an observation's block budget are discarded, never carried over.
+and positioning is exact: observation ``i`` starts at counter block ``i*B``.
+Any unused doubles at the tail of an observation's block budget are
+discarded, never carried over.
+
+A stream keeps one generator and the observation index it stands at.  Every
+read consumes whole counter blocks, so after a read the generator stands
+exactly where a generator built for the next address would start, and the
+next read draws from it directly.  Only a read after the cursor has moved
+away (``seek``, or an assignment to ``index``) builds a new generator at the
+new address.  Copies and pickles leave the generator behind and build their
+own on their first read, so no two streams share one.
 """
 
 from __future__ import annotations
@@ -67,13 +75,25 @@ class ObservationStream:
         self._blocks_per_obs = -(-self.dim // _DOUBLES_PER_BLOCK)
         self._key = np.array([self.master_seed, self.trial], dtype=np.uint64)
         self.index = 0  # index of the next observation to be produced
+        self._gen = None  # built on the first read
+        self._gen_index = -1  # the observation self._gen stands at; -1: none
+
+    def __getstate__(self) -> dict:
+        # copies and pickles build their own generator: a shared one would
+        # advance under both streams
+        return {**self.__dict__, "_gen": None, "_gen_index": -1}
 
     def _generator_at(self, obs_index: int) -> Generator:
-        # Philox counter is 256-bit, little word first; block address fits the
-        # low word for any realistic index (n_max * B << 2**64).
-        block = obs_index * self._blocks_per_obs
-        counter = np.array([block % _U64, block // _U64, 0, 0], dtype=np.uint64)
-        return Generator(Philox(key=self._key, counter=counter))
+        """The stream's generator, standing at the first block of
+        ``obs_index``: the one a read left there, else a new one."""
+        if self._gen_index != obs_index:
+            # Philox counter is 256-bit, little word first; block address fits
+            # the low word for any realistic index (n_max * B << 2**64).
+            block = obs_index * self._blocks_per_obs
+            counter = np.array([block % _U64, block // _U64, 0, 0], dtype=np.uint64)
+            self._gen = Generator(Philox(key=self._key, counter=counter))
+            self._gen_index = obs_index
+        return self._gen
 
     def seek(self, obs_index: int) -> None:
         """Position the cursor so the next ``take`` starts at ``obs_index``."""
@@ -94,6 +114,7 @@ class ObservationStream:
         width = self._blocks_per_obs * _DOUBLES_PER_BLOCK
         raw = gen.random(count * width).reshape(count, width)
         self.index += count
+        self._gen_index = self.index
         return raw[:, : self.dim]
 
     def take(self, count: int) -> np.ndarray:

@@ -5,6 +5,7 @@ by independent scripts before the module was written; they are frozen here
 as regression pins.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -87,6 +88,74 @@ def test_prefix_table_high_dimension_keeps_one_level(monkeypatch):
         assert abs(p_record(n, 60) - float(exact)) <= rtol * float(exact), n
         assert abs(mean_records(n, 60) - float(total)) <= rtol * float(total), n
     assert len(analytics._PREFIX) == len(analytics._P_TABLE) == 1
+
+
+def _plain_climb_tables(top):
+    """p and S for d = 1..top by the plain climb from d = 1, every level kept:
+    the tables as they were built before the cache was bounded."""
+    ms = np.arange(1, analytics.PREFIX_LIMIT + 1, dtype=np.float64)
+    tables, s = {}, None
+    for d in range(1, top + 1):
+        ps = np.zeros(analytics.PREFIX_LIMIT + 1)
+        ps[1:] = (1.0 if s is None else s[1:]) / ms
+        s = np.cumsum(ps)
+        tables[d] = ps, s
+    return tables
+
+
+def _cold_prefix_cache(monkeypatch):
+    """Empty prefix caches, and a list that counts the recurrence steps."""
+    for name in ("_PREFIX", "_P_TABLE", "_CHECKPOINTS"):
+        monkeypatch.setattr(analytics, name, {})
+    steps = []
+    step = analytics._recurrence_step
+
+    def counting_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(analytics, "_recurrence_step", counting_step)
+    return steps
+
+
+def test_prefix_tables_bitwise_in_any_request_order(monkeypatch):
+    ref = _plain_climb_tables(8)
+    rng = np.random.default_rng(11)
+    orders = [list(range(1, 9)), list(range(8, 0, -1)), [5, 2, 8, 1, 3, 7, 4, 6],
+              [8, 1, 7, 2, 6, 3, 5, 4]] + [rng.permutation(8) + 1 for _ in range(4)]
+    for order in orders:
+        _cold_prefix_cache(monkeypatch)
+        for d in list(order) * 2:
+            d = int(d)
+            s = analytics._ensure_prefix(d)
+            assert np.array_equal(analytics._P_TABLE[d], ref[d][0]), (order, d)
+            assert np.array_equal(s, ref[d][1]), (order, d)
+            assert p_record(7, d) == ref[d][0][7] and mean_records(7, d) == ref[d][1][7]
+
+
+def test_prefix_cache_bounded_and_descending_sweep_cheap(monkeypatch):
+    # ascending: one step per dimension; descending: at most about twice that
+    top = 60
+    costs = {}
+    for name, order in (("up", range(1, top + 1)), ("down", range(top, 0, -1))):
+        steps = _cold_prefix_cache(monkeypatch)
+        for d in order:
+            p_record(5, d)
+            assert len(analytics._PREFIX) == len(analytics._P_TABLE) <= analytics._LEVELS_KEPT
+            assert len(analytics._CHECKPOINTS) <= analytics._CHECKPOINTS_KEPT
+        costs[name] = len(steps)
+        before = len(steps)
+        for d in list(analytics._PREFIX):  # cached: no step
+            p_record(5, d)
+        assert len(steps) == before
+    assert costs["up"] == top
+    assert costs["down"] <= 2.2 * top, costs
+    # cold high dimensions keep a bounded number of tables too
+    steps = _cold_prefix_cache(monkeypatch)
+    for d in (500, 250, 120, 60):
+        p_record(5, d)
+        assert len(analytics._CHECKPOINTS) <= analytics._CHECKPOINTS_KEPT
+    assert len(steps) == 500 + 250 + 120 + 60
 
 
 def test_quadrature_meets_tolerance():
@@ -276,6 +345,28 @@ def test_sample_y_matches_bisection_reference(n, d, monkeypatch):
     assert np.all((draws >= table.edges[0]) & (draws <= table.edges[-1]))
     assert max(calls[: len(us)]) <= 4  # one density call per Newton iteration
     assert max(calls) <= 80  # the cap: only the tails fall back to bisection
+
+
+# the cases of test_sample_y_matches_bisection_reference
+_PINNED_INVERT_CASES = [
+    (1, 1), (2, 1), (50, 3), (10**3, 4), (10**5, 2), (10**7, 2), (10, 8), (10**12, 3),
+]
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log1p:RuntimeWarning")
+def test_sampler_draws_are_bitwise_pinned():
+    # sha256 of repr of every float, frozen before the sampler's panel search
+    # and its stream reads were sped up: a change in the last bit shows here,
+    # where the bisection reference above allows 1e-12
+    us = [float(u) for u in ObservationStream(5, 0, 1).take_uniforms(500)[:, 0]]
+    tables = [analytics._CdfTable(n, d) for n, d in _PINNED_INVERT_CASES]
+    inverted = [table.invert(u) for table in tables for u in us + list(TAIL_US)]
+    assert hashlib.sha256(repr(inverted).encode()).hexdigest() == (
+        "8e05e1644873a465c5566af17e1e47395852bfbbf71ce74bd15fe1e3bdfedd37")
+    s = ObservationStream(20260817, 0, 1)
+    draws = [sample_y(s, 10**5, 2) for _ in range(2000)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
+        "0af2635c862339e84922a23d52529dc6aae70786b6aac375c761f4a48ecfae14")
 
 
 def test_cdf_table_cache_is_bounded():

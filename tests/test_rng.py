@@ -7,7 +7,9 @@ dim-d stream owns counter blocks [i*B, (i+1)*B) with B = ceil(d/4), one
 uint64-derived double per coordinate, exponentials via -log1p(-U).
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -58,6 +60,63 @@ def test_seek_matches_bulk():
     for idx in (0, 1, 17, 49, 3):
         s.seek(idx)
         assert np.array_equal(s.take(1)[0], ref[idx])
+
+
+def _fresh_read(stream, index, count, uniforms):
+    """``count`` observations at ``index`` from a stream built for the read."""
+    fresh = ObservationStream(stream.master_seed, stream.trial, stream.dim)
+    fresh.seek(index)
+    return fresh.take_uniforms(count) if uniforms else fresh.take(count)
+
+
+def _checked_read(stream, count, uniforms):
+    at = stream.index
+    got = stream.take_uniforms(count) if uniforms else stream.take(count)
+    assert got.shape == (count, stream.dim)
+    assert np.array_equal(got, _fresh_read(stream, at, count, uniforms)), (at, count)
+    assert stream.index == at + count
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 4, 5, 8, 9))
+def test_reused_generator_reads_match_fresh_streams(dim):
+    # reads continue from the stream's own generator; every one must be the
+    # read a new stream makes at the same address, however the cursor got there
+    s = ObservationStream(2718, 6, dim)
+    for op, arg in [
+        ("take", 3), ("uniforms", 0), ("uniforms", 5), ("take", 0), ("take", 1),
+        ("seek", None), ("uniforms", 2), ("seek", None), ("take", 4),
+        ("seek", 2), ("take", 3), ("uniforms", 1),  # backwards
+        ("seek", 40), ("uniforms", 6), ("take", 2),  # forwards, past unread slots
+        ("seek", 0), ("uniforms", 0), ("take", 1), ("seek", 41), ("take", 9),
+        ("index", 7), ("uniforms", 3), ("index", 10), ("take", 2),  # assigned
+    ]:
+        if op == "seek":
+            s.seek(s.index if arg is None else arg)
+        elif op == "index":
+            s.index = arg
+        else:
+            _checked_read(s, arg, op == "uniforms")
+
+
+def test_copies_never_share_bits():
+    # a copy taken in mid-stream reads its own addresses, and reading from it
+    # never moves the original (nor the other way round), in any interleaving
+    s = ObservationStream(4242, 1, 3)
+    s.take(5)
+    s.seek(9)
+    s.take_uniforms(2)
+    copies = [copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))]
+    for c in copies:
+        assert (c.master_seed, c.trial, c.dim, c.index) == (4242, 1, 3, 11)
+    streams = [s] + copies
+    for count in (1, 3, 0, 2, 4):
+        for k, stream in enumerate(streams):
+            _checked_read(stream, count + k, k % 2 == 0)
+    for stream in streams:
+        stream.seek(11)
+    reads = [stream.take(6) for stream in streams]
+    assert all(np.array_equal(r, reads[0]) for r in reads)
+    assert np.array_equal(reads[0], _fresh_read(s, 11, 6, False))
 
 
 def test_fresh_streams_identical():
