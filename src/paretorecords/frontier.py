@@ -118,12 +118,26 @@ class RegionCorners:
       tie z in coordinate j (p is not below z), so only survivors with
       p_j == z_j need checking.  On continuous data that check never runs.
 
+    Within block j, dead corner a's candidate lies at or below b's iff
+    a_i <= b_i for every i != j.  The corners are an antichain, so two
+    distinct ones each exceed the other somewhere; hence that holds iff a
+    exceeds b in exactly one coordinate, j.  So b's block-j candidate is
+    dropped iff some dead a exceeds b in exactly coordinate j: one
+    (dead, dead, d) comparison serves every block, taken a column chunk
+    at a time so that no temporary holds more than ``_PAIR_ELEMENTS``
+    elements (or one column, dead * d, if that is larger).  A lone dead
+    corner, the usual case at d = 2, keeps all d candidates.  New corners
+    are appended block by block, dead corners in their stored order
+    within a block, so ``points``, ``sums`` and ``witness()`` do not
+    depend on how the pruning is computed.
+
     Records killed later need no handling: their killer's lower orthant
     contains theirs, so the region is the same.  A non-record z kills no
     corner, so adding it changes nothing.
     """
 
     def __init__(self, d: int):
+        d = _as_int(d, "d", 1)
         self.points = np.zeros((1, d))
         self.sums = np.zeros(1)
         self._raise = np.eye(d, dtype=bool)[:, None, :]  # block j raises x_j
@@ -132,7 +146,7 @@ class RegionCorners:
     def of(cls, book: RecordBook) -> "RegionCorners":
         corners = cls(book.d)
         for z in book.record_coords:
-            corners.add(z)
+            corners._add_raw(z)
         return corners
 
     @property
@@ -143,24 +157,53 @@ class RegionCorners:
         return self.points[int(np.argmin(self.sums))].copy()
 
     def add(self, z) -> None:
-        z = np.asarray(z, dtype=np.float64)
-        dead = (self.points < z).all(axis=1)
-        if not dead.any():
+        """Apply a new record ``z``: d finite, nonnegative coordinates."""
+        self._add_raw(_as_coords(z, self.points.shape[1]))
+
+    def _add_raw(self, z: np.ndarray) -> None:
+        # Hot path: caller guarantees z is a validated 1-d float64[d].
+        pts = self.points
+        dead = (pts < z).all(axis=1)
+        gone = dead.nonzero()[0]
+        if not gone.size:
             return
-        live = ~dead
-        survivors = self.points[live]
-        cand = np.where(self._raise, z, self.points[dead])  # (d, dead, d)
-        # keep a candidate iff it is the only one of its block at or below it
-        below = (cand[:, :, None, :] <= cand[:, None, :, :]).all(axis=3)
-        cand = cand[below.sum(axis=1) == 1]
-        ties = survivors[(survivors == z).any(axis=1)]
-        if len(ties):
+        lost = pts.take(gone, axis=0)
+        cand = np.where(self._raise, z, lost)  # (d, dead, d), block-major
+        if gone.size > 1:
+            cand = cand[~_pruned_blocks(lost)]
+        else:
+            cand = cand.reshape(-1, z.size)
+        live = (~dead).nonzero()[0]  # take() on indices beats a row mask
+        survivors = pts.take(live, axis=0)
+        if (pts == z).any():  # dead corners lie below z, so only survivors tie
+            ties = survivors[(survivors == z).any(axis=1)]
             covered = (ties[:, None, :] <= cand[None, :, :]).all(axis=2)
             cand = cand[~covered.any(axis=0)]
-        self.points = np.concatenate([survivors, cand])
+        self.points = np.concatenate((survivors, cand))
         self.sums = np.concatenate(
-            [self.sums[live], [math.fsum(c) for c in cand.tolist()]]
+            (self.sums.take(live), [math.fsum(c) for c in cand.tolist()])
         )
+
+
+# largest pairwise temporary of one corner update, in elements
+_PAIR_ELEMENTS = 1 << 22
+
+
+def _pruned_blocks(dead: np.ndarray) -> np.ndarray:
+    """(d, k) mask over the blocks' candidates of k >= 2 dead corners: True
+    where some dead corner exceeds this one in exactly that block's
+    coordinate (see RegionCorners)."""
+    k, d = dead.shape
+    # coordinate-major, so every pass below runs over contiguous (k, m) slabs
+    cols = np.ascontiguousarray(dead.T)
+    pruned = np.empty((d, k), dtype=bool)
+    count = np.min_scalar_type(d)  # holds 0..d
+    step = max(1, _PAIR_ELEMENTS // (k * d))
+    for lo in range(0, k, step):
+        gt = cols[:, :, None] > cols[:, None, lo:lo + step]  # a exceeds b in j
+        gt &= gt.sum(axis=0, dtype=count) == 1
+        pruned[:, lo:lo + step] = np.logical_or.reduce(gt, axis=1)
+    return pruned
 
 
 # -- enumeration oracles ------------------------------------------------------

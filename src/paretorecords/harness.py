@@ -309,7 +309,7 @@ def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
                 book.absorb_nonrecords(at - done, sums[prev:i])
             out = book._observe_raw(pts[i], float(sums[i]))
             if out.is_record:
-                corners.add(pts[i])
+                corners._add_raw(pts[i])
                 if cfg.records_time:
                     yield "rec", book, corners
             prev, done = i + 1, at + 1

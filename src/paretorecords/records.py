@@ -83,6 +83,11 @@ class ObserveOutcome:
             raise ValueError("kills > 0 requires is_record")
 
 
+# the two outcomes that kill nothing, shared: ObserveOutcome is frozen
+_NOT_RECORD = ObserveOutcome(False, 0)
+_RECORD = ObserveOutcome(True, 0)
+
+
 def strictly_dominates(a, b) -> bool:
     """True iff ``a`` strictly dominates ``b`` (every coordinate larger)."""
     ca = _as_coords(a)
@@ -189,17 +194,27 @@ class RecordBook:
     def _observe_raw(self, coords: np.ndarray, s: float) -> ObserveOutcome:
         # Hot path: caller guarantees coords is a validated 1-d float64[d].
         self.n += 1
-        if self._top.size < self.top_capacity or s > self._top[-1]:
-            self._merge_top((s,))
+        top = self._top
+        if top.size < self.top_capacity or s > top[-1]:
+            # one slice-concatenate at s's place, dropping the smallest when
+            # full; equal sums have equal bits, so where a tie lands is moot
+            at = int(np.count_nonzero(top > s))
+            end = min(top.size, self.top_capacity - 1)
+            self._top = np.concatenate((top[:at], (s,), top[at:end]))
         recs = self._coords
-        if bool(np.any(np.all(_strict_gt(recs, coords), axis=1))):
-            return ObserveOutcome(False, 0)
-        keep = ~np.all(_strict_gt(coords, recs), axis=1)
-        self._coords = np.concatenate((recs[keep], coords[None, :]))
-        self._sums = np.concatenate((self._sums[keep], (s,)))
-        self._times = np.concatenate((self._times[keep], (self.n,)))
+        if _strict_gt(recs, coords).all(axis=1).any():
+            return _NOT_RECORD
+        killed = _strict_gt(coords, recs).all(axis=1)
+        kills = int(np.count_nonzero(killed))
+        sums, times = self._sums, self._times
+        if kills:
+            keep = ~killed
+            recs, sums, times = recs[keep], sums[keep], times[keep]
+        self._coords = np.concatenate((recs, coords[None, :]))
+        self._sums = np.concatenate((sums, (s,)))
+        self._times = np.concatenate((times, (self.n,)))
         self.epochs.append(self.n)
-        return ObserveOutcome(True, keep.size - int(np.count_nonzero(keep)))
+        return ObserveOutcome(True, kills) if kills else _RECORD
 
     def absorb_nonrecords(self, count: int, sums) -> None:
         """Account for ``count`` observations known not to set records.
@@ -221,7 +236,8 @@ class RecordBook:
             raise ValueError(f"expected at most {count} sums in a 1-d array, "
                              f"got shape {sums.shape}")
         self.n += count
-        if sums.size:
+        top = self._top
+        if sums.size and (top.size < self.top_capacity or sums.max() > top[-1]):
             self._merge_top(sums)
 
     def dominated_by_current(self, pts: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Frontier extremes: worked cases, route agreement, integer repair."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,126 @@ def test_region_corners_match_grid_minima():
                     assert set(got) == grid_corners(book.record_coords)
                     assert corners.sums.tolist() == [math.fsum(p) for p in got]
                     assert corners.value == f_minus(book)
+
+
+def frozen_region_add(points, sums, z):
+    """Frozen copy of RegionCorners.add from before the exactly-one-coordinate
+    rule: block pruning by an all-pairs (d, dead, dead, d) broadcast.
+    Returns the new (points, sums)."""
+    z = np.asarray(z, dtype=np.float64)
+    dead = (points < z).all(axis=1)
+    if not dead.any():
+        return points, sums
+    live = ~dead
+    survivors = points[live]
+    raise_ = np.eye(z.size, dtype=bool)[:, None, :]
+    cand = np.where(raise_, z, points[dead])  # (d, dead, d)
+    # keep a candidate iff it is the only one of its block at or below it
+    below = (cand[:, :, None, :] <= cand[:, None, :, :]).all(axis=3)
+    cand = cand[below.sum(axis=1) == 1]
+    ties = survivors[(survivors == z).any(axis=1)]
+    if len(ties):
+        covered = (ties[:, None, :] <= cand[None, :, :]).all(axis=2)
+        cand = cand[~covered.any(axis=0)]
+    return (np.concatenate([survivors, cand]),
+            np.concatenate([sums[live], [math.fsum(c) for c in cand.tolist()]]))
+
+
+def assert_same_corners(corners, points, sums):
+    assert corners.points.tolist() == points.tolist()  # order included
+    assert corners.sums.tobytes() == sums.tobytes()
+    assert corners.value == float(sums.min())
+    assert corners.witness().tobytes() == points[int(np.argmin(sums))].tobytes()
+
+
+@pytest.mark.parametrize("d, n", [(2, 4000), (3, 2500), (4, 600), (5, 220)])
+@pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+def test_region_corners_match_frozen_add(d, n, ties):
+    # points scattered about slowly growing simplices x_+ = s: most are
+    # records, many kill, and a record often kills several corners at once
+    rng = np.random.default_rng(2015 + d)
+    scale = 3.0 + 3.0 * np.arange(n)[:, None] / n + rng.uniform(0.0, 0.5, (n, 1))
+    pts = rng.dirichlet(np.ones(d), n) * scale
+    if ties:
+        pts = np.ceil(2.0 * pts)
+    book = RecordBook(d)
+    corners = RegionCorners(d)
+    points, sums = corners.points, corners.sums
+    records = multi = tied = 0
+    for row in pts:
+        if not book.observe(row).is_record:
+            continue
+        records += 1
+        multi += int((points < row).all(axis=1).sum()) > 1
+        tied += bool((points == row).any())
+        corners.add(row)
+        points, sums = frozen_region_add(points, sums, row)
+        assert_same_corners(corners, points, sums)
+    # the streams do exercise the tie check, and the pairwise rule
+    assert records >= (1500 if d <= 3 else 200)
+    assert (tied if ties else multi) > records // 2
+
+
+def simplex_corners(n, seed, d=5):
+    """Corners after n Dirichlet records on x_+ = 1: mutually
+    non-dominating, so every one is a record and corners pile up."""
+    corners = RegionCorners(d)
+    for row in np.random.default_rng(seed).dirichlet(np.ones(d), n):
+        corners.add(row)
+    return corners
+
+
+def test_region_corners_add_memory_is_bounded():
+    # one record above all of > 3000 corners: the all-pairs broadcast
+    # needs d * dead * dead * d bytes (over 300 MB); the chunked rule
+    # stays under a bound fixed in advance
+    corners = simplex_corners(150, seed=3)
+    assert corners.points.shape[0] > 3000
+    z = np.full(5, 2.0)
+    tracemalloc.start()
+    try:
+        corners.add(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    # the region is now the points with some x_j >= 2: corners 2 e_j
+    assert corners.points.tolist() == (2.0 * np.eye(5)).tolist()
+
+
+def test_region_corners_many_dead_match_frozen_add():
+    # about 1000 corners, where the frozen broadcast still fits: kill a
+    # share of them, then all of them
+    for z in (np.full(5, 0.3), np.full(5, 1.0)):
+        corners = simplex_corners(60, seed=0)
+        points, sums = corners.points, corners.sums
+        assert points.shape[0] > 1000
+        dead = int((points < z).all(axis=1).sum())
+        assert dead > 500
+        corners.add(z)
+        assert_same_corners(corners, *frozen_region_add(points, sums, z))
+
+
+def test_region_corners_refuse_bad_input():
+    for d in (0, -1, "2"):  # bools and non-integers: test_public_surface
+        with pytest.raises(ValueError, match="d must be"):
+            RegionCorners(d)
+    corners = RegionCorners(2)
+    corners.add((1.0, 2.0))
+    before = corners.points.tolist(), corners.sums.tolist()
+    bad = {
+        "scalar": 5.0,
+        "nan": (math.nan, 1.0),
+        "inf": (math.inf, 1.0),
+        "negative": (3.0, -1.0),
+        "wrong d": (3.0, 3.0, 3.0),
+        "2-d": [[3.0, 3.0]],
+    }
+    for case, z in bad.items():
+        with pytest.raises(ValueError):
+            corners.add(z)
+            pytest.fail(f"add accepted a {case} point")
+    assert (corners.points.tolist(), corners.sums.tolist()) == before
 
 
 def test_in_rs_cases():

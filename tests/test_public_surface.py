@@ -66,6 +66,7 @@ INTEGER_ENTRIES = [
     ("ObservationStream.take", lambda k, tmp: ObservationStream(0).take(k), 2),
     ("ObservationStream.take_uniforms", lambda k, tmp: ObservationStream(0).take_uniforms(k), 2),
     ("ObservationStream.seek", lambda k, tmp: ObservationStream(0).seek(k), 2),
+    ("RegionCorners(d)", lambda k, tmp: frontier.RegionCorners(k), 2),
     ("sweeten(m)", lambda k, tmp: frontier.sweeten([1.0, 1.0], k), 2),
     ("IntegerGridPoint(coords)", lambda k, tmp: frontier.IntegerGridPoint((k, 1)), 2),
     ("lower_bound_probability(d)",

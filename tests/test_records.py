@@ -146,15 +146,22 @@ def test_oracle_matches_incremental_random():
 
 
 def test_oracle_matches_incremental_with_ties():
-    # integer-valued coordinates force frequent exact ties
+    # integer-valued coordinates force frequent exact ties, in the sums too:
+    # after every observation the top sums, at each capacity, are the
+    # largest sums seen, descending, bit for bit
     rng = np.random.default_rng(11)
     for _ in range(80):
         d = int(rng.integers(1, 4))
         n = int(rng.integers(1, 60))
         pts = rng.integers(0, 4, size=(n, d)).astype(float)
         inc = RecordBook(d)
-        for row in pts:
+        capped = [RecordBook(d, top_capacity=c) for c in (1, 2, 8)]
+        for i, row in enumerate(pts):
             inc.observe(row)
+            seen = np.sort(coord_sums(pts[: i + 1]))[::-1]
+            for book in capped:
+                book.observe(row)
+                assert book.top_sums.tobytes() == seen[: book.top_capacity].tobytes()
         assert inc.state_equals(rebuild_oracle(pts))
 
 
