@@ -126,7 +126,7 @@ class RegionCorners:
     (dead, dead, d) comparison serves every block, taken a column chunk
     at a time so that no temporary holds more than ``_PAIR_ELEMENTS``
     elements (or one column, dead * d, if that is larger).  A lone dead
-    corner, the usual case at d = 2, keeps all d candidates.  New corners
+    corner has no rival, so it keeps all d candidates.  New corners
     are appended block by block, dead corners in their stored order
     within a block, so ``points``, ``sums`` and ``witness()`` do not
     depend on how the pruning is computed.
@@ -169,10 +169,7 @@ class RegionCorners:
             return
         lost = pts.take(gone, axis=0)
         cand = np.where(self._raise, z, lost)  # (d, dead, d), block-major
-        if gone.size > 1:
-            cand = cand[~_pruned_blocks(lost)]
-        else:
-            cand = cand.reshape(-1, z.size)
+        cand = cand[~_pruned_blocks(lost)]
         live = (~dead).nonzero()[0]  # take() on indices beats a row mask
         survivors = pts.take(live, axis=0)
         if (pts == z).any():  # dead corners lie below z, so only survivors tie
@@ -190,7 +187,7 @@ _PAIR_ELEMENTS = 1 << 22
 
 
 def _pruned_blocks(dead: np.ndarray) -> np.ndarray:
-    """(d, k) mask over the blocks' candidates of k >= 2 dead corners: True
+    """(d, k) mask over the blocks' candidates of k >= 1 dead corners: True
     where some dead corner exceeds this one in exactly that block's
     coordinate (see RegionCorners)."""
     k, d = dead.shape

@@ -194,13 +194,7 @@ class RecordBook:
     def _observe_raw(self, coords: np.ndarray, s: float) -> ObserveOutcome:
         # Hot path: caller guarantees coords is a validated 1-d float64[d].
         self.n += 1
-        top = self._top
-        if top.size < self.top_capacity or s > top[-1]:
-            # one slice-concatenate at s's place, dropping the smallest when
-            # full; equal sums have equal bits, so where a tie lands is moot
-            at = int(np.count_nonzero(top > s))
-            end = min(top.size, self.top_capacity - 1)
-            self._top = np.concatenate((top[:at], (s,), top[at:end]))
+        self._merge_top(np.array((s,)))
         recs = self._coords
         if _strict_gt(recs, coords).all(axis=1).any():
             return _NOT_RECORD
@@ -236,8 +230,7 @@ class RecordBook:
             raise ValueError(f"expected at most {count} sums in a 1-d array, "
                              f"got shape {sums.shape}")
         self.n += count
-        top = self._top
-        if sums.size and (top.size < self.top_capacity or sums.max() > top[-1]):
+        if sums.size:
             self._merge_top(sums)
 
     def dominated_by_current(self, pts: np.ndarray) -> np.ndarray:
@@ -253,8 +246,20 @@ class RecordBook:
 
     # -- internals --------------------------------------------------------
 
-    def _merge_top(self, sums):
-        merged = np.concatenate((self._top, sums))
+    def _merge_top(self, sums: np.ndarray) -> None:
+        """Merge a nonempty 1-d float64 array of sums into the top sums."""
+        top = self._top
+        one = sums.size == 1
+        if top.size == self.top_capacity and not (sums[0] if one else sums.max()) > top[-1]:
+            return  # none can enter
+        if one:
+            # one slice-concatenate at the sum's place, dropping the smallest
+            # when full; equal sums have equal bits, so where a tie lands is moot
+            at = int(np.count_nonzero(top > sums[0]))
+            end = min(top.size, self.top_capacity - 1)
+            self._top = np.concatenate((top[:at], sums, top[at:end]))
+            return
+        merged = np.concatenate((top, sums))
         if merged.size > self.top_capacity:
             cut = merged.size - self.top_capacity
             merged = np.partition(merged, cut)[cut:]
