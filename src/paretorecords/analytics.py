@@ -20,14 +20,16 @@ Kung, Schkolnick & Thompson (J. ACM 25(4), 1978),
 which follows from the alternating sum via C(n-1, k)/(k+1) = C(n, k+1)/n
 and is accurate from n = 1.  It is served two ways:
 
-- n <= PREFIX_LIMIT: a table of p and its prefix sums per recently
+- n <= PREFIX_LIMIT: a table of the prefix sums of p per recently
   requested d, built level by level from the highest cached level below it.
 - larger n: the single integral
 
       E[#records among n] = int_0^inf y^{d-1}/(d-1)! * (1-(1-e^{-y})^n) dy,
 
-  by composite Gauss-Legendre on half-unit panels, and p(n, d) from it by
-  the same recurrence.
+  by composite Gauss-Legendre on half-unit panels.
+
+Either way p(n, d) is read off the level below by the recurrence, as
+E[#records among n in dimension d-1] / n.
 
 The exact rationals (``p_record_exact``) and independent high-precision
 quadratures pin the accuracy in the tests.
@@ -98,37 +100,33 @@ def p_record_exact(n: int, d: int) -> Fraction:
 def p_record(n: int, d: int) -> float:
     """P(observation n sets a record) for iid Exponential(1) coordinates."""
     n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
-    if n <= PREFIX_LIMIT:
-        _ensure_prefix(d)
-        return float(_P_TABLE[d][n])
     return mean_remaining(n, d) / n
 
 
 # -- record-count means --------------------------------------------------------
 
-# requested d -> p(m, d) and S[m] = sum_{k<=m} p(k, d) for 0 <= m <= PREFIX_LIMIT
-# (_PREFIX least recently requested first); p_record hands out the very floats
-# that were summed, so telescoping is bitwise
-_P_TABLE: dict[int, np.ndarray] = {}
+# requested d -> S[m] = sum_{k<=m} p(k, d) for 0 <= m <= PREFIX_LIMIT (least
+# recently requested first); p_record(m, d + 1) = S[m] / m is the very float
+# that level d + 1 sums, so telescoping is bitwise
 _PREFIX: dict[int, np.ndarray] = {}
-# levels passed on climbs, as (p, S) pairs, oldest first
-_CHECKPOINTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# levels passed on climbs, oldest first
+_CHECKPOINTS: dict[int, np.ndarray] = {}
 _LEVELS_KEPT = 8  # requested dimensions whose tables stay cached
 _CHECKPOINTS_KEPT = 10  # climb levels kept besides them
 
 
-def _recurrence_step(s, ms: np.ndarray):
-    """p(., d) and its prefix sums from the prefix sums ``s`` of d - 1
+def _recurrence_step(s, ms: np.ndarray) -> np.ndarray:
+    """The prefix sums of p(., d) from the prefix sums ``s`` of d - 1
     (``None`` below d = 1)."""
     ps = np.zeros(PREFIX_LIMIT + 1)
     ps[1:] = (1.0 if s is None else s[1:]) / ms  # the recurrence
-    return ps, np.cumsum(ps)  # sequential accumulation: keeps telescoping bitwise
+    return np.cumsum(ps)  # sequential accumulation: keeps telescoping bitwise
 
 
 def _ensure_prefix(d: int) -> np.ndarray:
     """The prefix-sum table of dimension d.
 
-    The last ``_LEVELS_KEPT`` dimensions requested keep their two tables.
+    The last ``_LEVELS_KEPT`` dimensions requested keep their tables.
     Any other d climbs the recurrence from the highest cached level below it
     (from d = 1 if there is none) and keeps the levels it passes at distances
     1, 3, 6, 10, ... below d as checkpoints (``_CHECKPOINTS_KEPT`` in all,
@@ -143,24 +141,21 @@ def _ensure_prefix(d: int) -> np.ndarray:
     if s is not None:
         _PREFIX[d] = s  # re-inserted: _PREFIX's order is the eviction order
         return s
-    if d in _CHECKPOINTS:
-        ps, s = _CHECKPOINTS.pop(d)
-    else:
+    s = _CHECKPOINTS.pop(d, None)
+    if s is None:
         base = max((k for k in (*_PREFIX, *_CHECKPOINTS) if k < d), default=0)
-        s = _CHECKPOINTS[base][1] if base in _CHECKPOINTS else _PREFIX.get(base)
+        s = _CHECKPOINTS.get(base, _PREFIX.get(base))
         keep = {d - j * (j + 1) // 2 for j in range(1, _CHECKPOINTS_KEPT + 1)}
         ms = np.arange(1, PREFIX_LIMIT + 1, dtype=np.float64)
         for level in range(base + 1, d + 1):
-            ps, s = _recurrence_step(s, ms)
+            s = _recurrence_step(s, ms)
             if level in keep:
-                _CHECKPOINTS[level] = ps, s
+                _CHECKPOINTS[level] = s
                 if len(_CHECKPOINTS) > _CHECKPOINTS_KEPT:
                     del _CHECKPOINTS[next(iter(_CHECKPOINTS))]
-    _P_TABLE[d] = ps
     _PREFIX[d] = s
     if len(_PREFIX) > _LEVELS_KEPT:
-        oldest = next(iter(_PREFIX))
-        del _PREFIX[oldest], _P_TABLE[oldest]
+        del _PREFIX[next(iter(_PREFIX))]
     return s
 
 
@@ -264,18 +259,17 @@ class _CdfTable:
         self.n, self.d = n, d
         lo = 0.0 if n == 1 else max(0.0, math.log(n - 1) - 4.0)
         hi = math.log(max(n - 1, 1)) + 60.0 + 8.0 * d
-        self.edges, ys, ws = _panel_nodes(lo, hi, 4096)
+        edges, ys, ws = _panel_nodes(lo, hi, 4096)
         vals = (_density(ys, n, d, 0.0) * ws).reshape(-1, 16).sum(axis=1)
-        self.cum = np.concatenate([[0.0], np.cumsum(vals)])
-        self.total = float(self.cum[-1])
-        # the same floats, read as Python floats: a draw's panel search and
-        # reads cost no numpy call
-        self._cum = array.array("d", self.cum)
-        self._edges = array.array("d", self.edges)
+        cum = np.concatenate([[0.0], np.cumsum(vals)])
+        self.total = float(cum[-1])
+        # kept as Python floats: a draw's panel search and reads cost no numpy call
+        self.cum = array.array("d", cum)
+        self.edges = array.array("d", edges)
 
     def invert(self, u: float) -> float:
         n, d = self.n, self.d
-        cum, edges = self._cum, self._edges
+        cum, edges = self.cum, self.edges
         target = u * self.total
         k = min(max(bisect.bisect_right(cum, target) - 1, 0), len(edges) - 2)
         a, b = edges[k], edges[k + 1]
@@ -311,7 +305,7 @@ class _CdfTable:
         return 0.5 * (lo + hi)
 
 
-@functools.lru_cache(maxsize=64)  # a table holds about 130 KB
+@functools.lru_cache(maxsize=64)  # a table holds about 68 KB
 def _cdf_table(n: int, d: int) -> _CdfTable:
     return _CdfTable(n, d)
 

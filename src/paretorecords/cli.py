@@ -86,7 +86,7 @@ def _threads(args) -> int:
         return args.threads
     env = os.environ.get("THREADS")
     if env is not None:
-        if not env.isdigit() or int(env) < 1:
+        if not (env.isascii() and env.isdigit()) or int(env) < 1:
             raise ValueError(f"THREADS must be a positive integer, got {env!r}")
         return int(env)
     return os.cpu_count() or 1
@@ -143,6 +143,8 @@ def _cmd_analyze(args) -> int:
     if args.ks_norm_fplus is not None:
         vals = np.array([r.norm_fplus for r in final])
         vals = vals[np.isfinite(vals)]
+        if vals.size == 0:
+            raise ValueError(f"no finite norm_fplus at n={last_n}: it is defined from n = 3")
         report["ks_norm_fplus"] = ks_statistic(vals, args.ks_norm_fplus)
         report["ks_reference"] = args.ks_norm_fplus
     print(json.dumps(report, sort_keys=True))

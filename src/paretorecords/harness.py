@@ -340,7 +340,6 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
 _TYPES = get_type_hints(CheckpointRow)
 _CSV_FIELDS = {strip: tuple((f.name, _TYPES[f.name]) for f in fields(CheckpointRow)
                             if f.name != "strip_cov" or strip) for strip in (False, True)}
-_READ = {int: int, str: str, float: float}
 # "%.17g" % x is format(float(x), ".17g"), which re-parses bit-identically,
 # for every float including nan, inf and -0.0
 _CELL = {int: "%d", str: "%s", float: "%.17g"}
@@ -458,7 +457,7 @@ def load_rows(path) -> list:
                     raise ValueError(f"{len(rec)} fields, expected {len(header)}")
                 cells = iter(rec)
                 values = [tuple(map(float, islice(cells, top_m))) if kind is tuple
-                          else _READ[kind](next(cells)) for _, kind in schema]
+                          else kind(next(cells)) for _, kind in schema]
             except ValueError as exc:
                 raise ValueError(f"rows file {path}, line {reader.line_num}: {exc}") from None
             out.append(CheckpointRow(*values))

@@ -77,9 +77,9 @@ def test_recurrence_matches_rationals_from_n_1():
 
 
 def test_prefix_table_high_dimension_keeps_one_level(monkeypatch):
-    # a cold d = 60 climbs 60 levels in a loop and caches only its own
-    monkeypatch.setattr(analytics, "_PREFIX", {})
-    monkeypatch.setattr(analytics, "_P_TABLE", {})
+    # a cold d = 60 climbs 60 levels in a loop and caches only the levels
+    # requested: 59 for p_record, 60 for mean_records
+    steps = _cold_prefix_cache(monkeypatch)
     rtol = 2e-15
     total = Fraction(0)
     for n in range(1, 51):
@@ -87,7 +87,8 @@ def test_prefix_table_high_dimension_keeps_one_level(monkeypatch):
         total += exact
         assert abs(p_record(n, 60) - float(exact)) <= rtol * float(exact), n
         assert abs(mean_records(n, 60) - float(total)) <= rtol * float(total), n
-    assert len(analytics._PREFIX) == len(analytics._P_TABLE) == 1
+    assert len(steps) == 60
+    assert set(analytics._PREFIX) == {59, 60}
 
 
 def _plain_climb_tables(top):
@@ -105,7 +106,7 @@ def _plain_climb_tables(top):
 
 def _cold_prefix_cache(monkeypatch):
     """Empty prefix caches, and a list that counts the recurrence steps."""
-    for name in ("_PREFIX", "_P_TABLE", "_CHECKPOINTS"):
+    for name in ("_PREFIX", "_CHECKPOINTS"):
         monkeypatch.setattr(analytics, name, {})
     steps = []
     step = analytics._recurrence_step
@@ -125,12 +126,14 @@ def test_prefix_tables_bitwise_in_any_request_order(monkeypatch):
               [8, 1, 7, 2, 6, 3, 5, 4]] + [rng.permutation(8) + 1 for _ in range(4)]
     for order in orders:
         _cold_prefix_cache(monkeypatch)
-        for d in list(order) * 2:
-            d = int(d)
-            s = analytics._ensure_prefix(d)
-            assert np.array_equal(analytics._P_TABLE[d], ref[d][0]), (order, d)
-            assert np.array_equal(s, ref[d][1]), (order, d)
-            assert p_record(7, d) == ref[d][0][7] and mean_records(7, d) == ref[d][1][7]
+        # every n on the first pass; the second finds every level cached
+        for last in (analytics.PREFIX_LIMIT, 7):
+            for d in map(int, order):
+                s = analytics._ensure_prefix(d)
+                ps = [p_record(m, d) for m in range(1, last + 1)]
+                assert ps == ref[d][0][1:last + 1].tolist(), (order, d)
+                assert np.array_equal(s, ref[d][1]), (order, d)
+                assert mean_records(7, d) == ref[d][1][7]
 
 
 def test_prefix_cache_bounded_and_descending_sweep_cheap(monkeypatch):
@@ -140,20 +143,20 @@ def test_prefix_cache_bounded_and_descending_sweep_cheap(monkeypatch):
     for name, order in (("up", range(1, top + 1)), ("down", range(top, 0, -1))):
         steps = _cold_prefix_cache(monkeypatch)
         for d in order:
-            p_record(5, d)
-            assert len(analytics._PREFIX) == len(analytics._P_TABLE) <= analytics._LEVELS_KEPT
+            mean_records(5, d)
+            assert len(analytics._PREFIX) <= analytics._LEVELS_KEPT
             assert len(analytics._CHECKPOINTS) <= analytics._CHECKPOINTS_KEPT
         costs[name] = len(steps)
         before = len(steps)
         for d in list(analytics._PREFIX):  # cached: no step
-            p_record(5, d)
+            mean_records(5, d)
         assert len(steps) == before
     assert costs["up"] == top
     assert costs["down"] <= 2.2 * top, costs
     # cold high dimensions keep a bounded number of tables too
     steps = _cold_prefix_cache(monkeypatch)
     for d in (500, 250, 120, 60):
-        p_record(5, d)
+        mean_records(5, d)
         assert len(analytics._CHECKPOINTS) <= analytics._CHECKPOINTS_KEPT
     assert len(steps) == 500 + 250 + 120 + 60
 
@@ -297,7 +300,7 @@ def _bisection_reference(table, u):
 
     target = u * table.total
     k = int(np.searchsorted(table.cum, target, side="right")) - 1
-    k = min(max(k, 0), table.edges.size - 2)
+    k = min(max(k, 0), len(table.edges) - 2)
     a, b = float(table.edges[k]), float(table.edges[k + 1])
     base = float(table.cum[k])
     lo, hi = a, b

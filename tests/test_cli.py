@@ -284,6 +284,16 @@ def test_analyze_outputs(tmp_path, capsys):
     assert "rows_obs.csv" in capsys.readouterr().err
 
 
+def test_analyze_ks_norm_fplus_before_n_3_exits_2(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "--d", "2", "--n-max", "2", "--trials", "2",
+                 "--seed", "4", "--threads", "1", "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--in-dir", str(run), "--ks-norm-fplus", "gumbel"]) == 2
+    err = capsys.readouterr().err
+    assert "norm_fplus" in err and "n=2" in err
+
+
 def test_analyze_damaged_rows_file(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["simulate", "--d", "2", "--n-max", "300", "--trials", "2",
@@ -359,7 +369,10 @@ def test_threads_env_var(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--d", "2", "--n-max", "200", "--trials", "2",
                  "--seed", "1", "--out-dir", str(tmp_path / "env")]) == 0
     capsys.readouterr()
-    monkeypatch.setenv("THREADS", "zero")
-    assert main(["simulate", "--d", "2", "--n-max", "200", "--trials", "2",
-                 "--seed", "1", "--out-dir", str(tmp_path / "env2")]) == 2
-    assert "THREADS" in capsys.readouterr().err
+    # "²" passes str.isdigit but not int(); "٣" (Arabic-Indic 3) passes both
+    for value in ("zero", "\u00b2", "\u0663"):
+        monkeypatch.setenv("THREADS", value)
+        assert main(["simulate", "--d", "2", "--n-max", "200", "--trials", "2",
+                     "--seed", "1", "--out-dir", str(tmp_path / "env2")]) == 2, value
+        assert "THREADS" in capsys.readouterr().err, value
+    assert not (tmp_path / "env2").exists()
