@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import erfc
 
-from .records import _as_int
+from .records import _as_int, _as_real
 
 __all__ = [
     "EULER_GAMMA",
@@ -220,13 +220,14 @@ def _density(ys: np.ndarray, n: int, d: int, log_norm: float) -> np.ndarray:
 
 
 def y_density(n: int, d: int, y):
-    """Density of a record's coordinate sum at time n (0 for y <= 0)."""
+    """Density of a record's coordinate sum at time n (0 for y <= 0 and at
+    +inf, nan at nan)."""
     n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
     y_arr = np.asarray(y, dtype=np.float64)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
-    out = np.zeros_like(y_arr)
-    pos = y_arr > 0.0
+    out = np.where(np.isnan(y_arr), np.nan, 0.0)
+    pos = (y_arr > 0.0) & (y_arr < math.inf)
     if np.any(pos):
         out[pos] = _density(y_arr[pos], n, d, math.log(p_record(n, d)))
     return float(out[0]) if scalar else out
@@ -343,17 +344,10 @@ def normal_cdf(x):
 
 # -- centering and scaling sequences ---------------------------------------------
 
-def _check_real(value, name: str, minimum: float):
-    value = float(value)
-    if not math.isfinite(value) or value < minimum:
-        raise ValueError(f"{name} must be a finite real >= {minimum}, got {value!r}")
-    return value
-
-
 def fplus_centering(n, d: int) -> float:
     """Centering for the largest frontier sum: ln n + (d-1) ln ln n - ln((d-1)!)."""
     d = _as_int(d, "d", 1)
-    n = _check_real(n, "n", 3.0)
+    n = _as_real(n, "n", 3.0)
     log_n = math.log(n)
     return log_n + (d - 1) * math.log(log_n) - math.lgamma(d)
 
@@ -369,7 +363,7 @@ def _factorial_times(d: int, m: float) -> float:
 def tm_centering(m, d: int) -> float:
     """Centering for the epoch of record m: (d! m)^(1/d) - gamma."""
     d = _as_int(d, "d", 1)
-    m = _check_real(m, "m", 2.0)
+    m = _as_real(m, "m", 2.0)
     return _factorial_times(d, m) ** (1.0 / d) - EULER_GAMMA
 
 
@@ -380,7 +374,7 @@ def records_time_fplus_centering(m, d: int) -> float:
     (d! m)^(1/d) + (1 - 1/d) ln m + ln d - (1/d) ln(d!) - gamma.
     """
     d = _as_int(d, "d", 3)
-    m = _check_real(m, "m", 2.0)
+    m = _as_real(m, "m", 2.0)
     return (
         _factorial_times(d, m) ** (1.0 / d)
         + (1.0 - 1.0 / d) * math.log(m)
@@ -395,7 +389,7 @@ def asym_mean_records(n, d: int, order: int) -> float:
     with G_j the j-th derivative of the Gamma function at 1."""
     d = _as_int(d, "d", 1)
     order = _as_int(order, "order", 0, min(d, len(GAMMA_DERIVS_AT_1) - 1))
-    n = _check_real(n, "n", 3.0)
+    n = _as_real(n, "n", 3.0)
     if d > _MAX_FACTORIAL_D:
         raise ValueError(f"d! overflows a float at d={d}")
     log_n = math.log(n)

@@ -70,7 +70,11 @@ def _load_config(args) -> ExperimentConfig:
         if val is not None:
             base[key] = val
     if args.checkpoints is not None:
-        base["checkpoints"] = tuple(int(c) for c in args.checkpoints.split(",") if c)
+        try:
+            base["checkpoints"] = tuple(int(c) for c in args.checkpoints.split(",") if c)
+        except ValueError:
+            raise ValueError("--checkpoints must be comma-separated integers, "
+                             f"got {args.checkpoints!r}") from None
     if args.records_time:
         base["records_time"] = True
     if args.strip_check:

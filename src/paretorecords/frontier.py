@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import RecordBook, _as_coords, _as_int
+from .records import RecordBook, _as_coords, _as_int, _as_real
 
 __all__ = [
     "IntegerGridPoint",
@@ -75,10 +75,10 @@ def _records_array(records) -> np.ndarray:
 # -- extremes ---------------------------------------------------------------
 
 def f_plus(book: RecordBook) -> float:
-    """Largest coordinate sum over the frontier: max observation sum seen."""
-    if book.n == 0:
-        return 0.0
-    return float(book.record_sums.max())
+    """Largest frontier coordinate sum, the largest top sum (0.0 before any
+    record): float addition is monotone, so a strict dominator's computed sum
+    is at least the sum of the point it dominates."""
+    return float(book.top_sums[0]) if book.r else 0.0
 
 
 def f_minus(book: RecordBook) -> float:
@@ -335,10 +335,10 @@ def lower_bound_probability(n, b, d: int) -> float:
     d = _as_int(d, "d", 1)
     if d == 1:
         raise ValueError("the bound degenerates in dimension 1; use d >= 2")
-    n = float(n)
-    if not math.isfinite(n) or n <= 1.0:
+    n = _as_real(n, "n")
+    if n <= 1.0:
         raise ValueError(f"n must exceed 1, got {n!r}")
-    b = float(b)
+    b = _as_real(b, "b")
     log_n = math.log(n)
     if not 0.0 <= b < log_n:
         raise ValueError(f"b must lie in [0, ln n) = [0, {log_n!r}), got {b!r}")

@@ -52,12 +52,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from itertools import islice
+from itertools import groupby, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -71,7 +70,7 @@ from .analytics import (
     records_time_fplus_centering,
 )
 from .frontier import RegionCorners, f_plus
-from .records import RecordBook, _as_int, coord_sums
+from .records import RecordBook, _as_int, _as_real, coord_sums
 from .rng import ObservationStream, _exponential
 
 __all__ = [
@@ -104,8 +103,8 @@ def geometric_grid(n_max: int, ratio: float = 1.2) -> tuple:
     before the loop starts (at 1 + 2**-52 and n_max = 100 it would be 10**16).
     """
     n_max = _as_int(n_max, "n_max", 1)
-    if (isinstance(ratio, bool) or not isinstance(ratio, numbers.Real)
-            or not (ratio > 1.0 and math.isfinite(ratio))):
+    ratio = _as_real(ratio, "checkpoint_ratio")
+    if ratio <= 1.0:
         raise ValueError(f"checkpoint_ratio must be a finite real exceeding 1, got {ratio!r}")
     if math.log(max(n_max, 10) / 10) > _MAX_GRID_STEPS * math.log(ratio):
         raise ValueError(
@@ -619,12 +618,13 @@ class LilReport:
 
 def lil_diagnostics(rows) -> LilReport:
     """Boundary-law diagnostics over dyadic windows of a trajectory."""
-    obs = [r for r in rows if r.clock == "obs" and r.n >= 3]
-    rec = [r for r in rows if r.clock == "rec" and r.m >= 2]
+    # window k holds [2**k, 2**(k+1)); bit_length is exact where log2 rounds
+    obs = sorted((r for r in rows if r.clock == "obs" and r.n >= 3), key=attrgetter("n"))
+    rec = sorted((r for r in rows if r.clock == "rec" and r.m >= 2), key=attrgetter("m"))
     obs_windows = []
     run_max, run_min = -math.inf, math.inf
-    for k in sorted(set(int(math.floor(math.log2(r.n))) for r in obs)):
-        group = [r for r in obs if 2**k <= r.n < 2 ** (k + 1)]
+    for k, group in groupby(obs, key=lambda r: r.n.bit_length() - 1):
+        group = list(group)
         fplus_dev = [(r.f_plus - math.log(r.n)) / math.log(math.log(r.n)) for r in group]
         fminus_dev = [(r.f_minus - math.log(r.n)) / math.log(math.log(r.n)) for r in group]
         run_max = max(run_max, max(fplus_dev))
@@ -644,8 +644,8 @@ def lil_diagnostics(rows) -> LilReport:
         )
     rec_windows = []
     run_ratio = -math.inf
-    for k in sorted(set(int(math.floor(math.log2(r.m))) for r in rec)):
-        group = [r for r in rec if 2**k <= r.m < 2 ** (k + 1)]
+    for k, group in groupby(rec, key=lambda r: r.m.bit_length() - 1):
+        group = list(group)
         ratios = [r.width / math.log(r.m) for r in group]
         run_ratio = max(run_ratio, max(ratios))
         rec_windows.append(

@@ -15,6 +15,8 @@ share no dominance code path.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -68,6 +70,16 @@ def _as_int(value, name: str, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
+def _as_real(value, name: str, lo: float | None = None) -> float:
+    """The one gate for reals from outside: a finite non-bool numbers.Real,
+    at least ``lo`` when given, returned as a float, else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or (lo is not None and value < lo)):
+        bound = "" if lo is None else f" >= {lo}"
+        raise ValueError(f"{name} must be a finite real{bound}, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ObserveOutcome:
     """Result of presenting one observation to a RecordBook."""
@@ -116,18 +128,19 @@ class RecordBook:
     The book stores only what it cannot derive: ``n`` observations seen,
     ``epochs`` (the observation indices at which records were set, so
     ``epochs[m-1]`` is the first time the record count reached ``m``), the
-    current records' coordinates, sums and set times (exactly ``r`` rows
-    each, in set-time order) and the top sums.  The rest is read off them:
-    ``R == len(epochs)`` records ever set, ``r`` current records and
-    ``beta == R - r`` broken records.  ``dim_max``, the per-coordinate
-    maximum over all observations, is the maximum over the current records:
-    no point strictly dominates one holding the largest coordinate ``j``
-    (nothing is larger there), so every such point is a current record.
+    current records' coordinates (``r`` rows, in set-time order) and the top
+    sums.  The rest is read off them: ``R == len(epochs)`` records ever set,
+    ``r`` current records, ``beta == R - r`` broken records and the record
+    sums, which ``coord_sums`` gives bitwise as they were computed when each
+    record arrived.  ``dim_max``, the per-coordinate maximum over all
+    observations, is the maximum over the current records: no point strictly
+    dominates one holding the largest coordinate ``j`` (nothing is larger
+    there), so every such point is a current record.
 
     Record storage is a flat array with linear dominance scans: the current
     record count grows polylogarithmically in ``n``, so at simulation scale
     it stays in the tens to hundreds and nothing fancier pays for itself.
-    Records are rare, so a new one simply rebuilds the arrays.
+    Records are rare, so a new one simply rebuilds the array.
     """
 
     def __init__(self, d: int, top_capacity: int = 64):
@@ -136,8 +149,6 @@ class RecordBook:
         self.n = 0
         self.epochs: list[int] = []
         self._coords = np.empty((0, self.d), dtype=np.float64)
-        self._sums = np.empty(0, dtype=np.float64)
-        self._times = np.empty(0, dtype=np.int64)
         self._top = np.empty(0, dtype=np.float64)
 
     # -- views ------------------------------------------------------------
@@ -150,7 +161,7 @@ class RecordBook:
     @property
     def r(self) -> int:
         """Number of current records."""
-        return self._times.size
+        return len(self._coords)
 
     @property
     def beta(self) -> int:
@@ -165,12 +176,7 @@ class RecordBook:
     @property
     def record_sums(self) -> np.ndarray:
         """Coordinate sums of the current records. Copy."""
-        return self._sums.copy()
-
-    @property
-    def record_times(self) -> np.ndarray:
-        """Set times of the current records. Copy."""
-        return self._times.copy()
+        return coord_sums(self._coords)
 
     @property
     def dim_max(self) -> np.ndarray:
@@ -200,13 +206,9 @@ class RecordBook:
             return _NOT_RECORD
         killed = _strict_gt(coords, recs).all(axis=1)
         kills = int(np.count_nonzero(killed))
-        sums, times = self._sums, self._times
         if kills:
-            keep = ~killed
-            recs, sums, times = recs[keep], sums[keep], times[keep]
+            recs = recs[~killed]
         self._coords = np.concatenate((recs, coords[None, :]))
-        self._sums = np.concatenate((sums, (s,)))
-        self._times = np.concatenate((times, (self.n,)))
         self.epochs.append(self.n)
         return ObserveOutcome(True, kills) if kills else _RECORD
 
@@ -275,8 +277,6 @@ class RecordBook:
             and self.n == other.n
             and self.epochs == other.epochs
             and np.array_equal(self._coords, other._coords)
-            and np.array_equal(self._sums, other._sums)
-            and np.array_equal(self._times, other._times)
             and np.array_equal(self._top, other._top)
         )
 
@@ -321,9 +321,6 @@ def rebuild_oracle(points: Sequence | Iterable, d: int | None = None) -> RecordB
     book = RecordBook(dim)
     book.n = n
     book.epochs = [int(i) + 1 for i in np.nonzero(is_record)[0]]
-    cur_idx = np.nonzero(is_current)[0]
-    book._coords = arr[cur_idx]
-    book._sums = coord_sums(book._coords)
-    book._times = (cur_idx + 1).astype(np.int64)
+    book._coords = arr[is_current]
     book._top = np.sort(coord_sums(arr))[::-1][: book.top_capacity].copy()
     return book

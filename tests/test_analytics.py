@@ -234,6 +234,12 @@ def test_y_density_exponential_case():
     assert np.allclose(y_density(1, 1, ys), np.exp(-ys), rtol=1e-12)
     assert y_density(1, 1, 0.0) == 0.0
     assert y_density(5, 3, -2.0) == 0.0
+    # the ends of the real line: no mass at +inf, and nan stays nan
+    for n, d in ((1, 1), (5, 2), (1000, 3)):
+        assert y_density(n, d, math.inf) == 0.0 and y_density(n, d, -math.inf) == 0.0
+        assert math.isnan(y_density(n, d, math.nan))
+    assert np.array_equal(y_density(5, 2, [math.nan, math.inf, 1.0]),
+                          [math.nan, 0.0, y_density(5, 2, 1.0)], equal_nan=True)
 
 
 def test_y_density_mode_near_log_n():

@@ -94,6 +94,15 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out4")]) == 3
 
 
+def test_checkpoints_flag_not_integers_exits_2(tmp_path, capsys):
+    for grid in ("a,100", "1.5,100"):
+        assert main(["simulate", "--d", "2", "--n-max", "100", "--checkpoints", grid,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"--checkpoints must be comma-separated integers, got '{grid}'" in err
+        assert not (tmp_path / "out").exists()
+
+
 def test_exact_values_reparse_bit_identical(capsys):
     cases = [
         (["--op", "p-record", "--n", "100", "--d", "2"],

@@ -7,7 +7,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import get_type_hints
@@ -21,7 +21,7 @@ from paretorecords.analytics import (
     mean_records,
     records_time_fplus_centering,
 )
-from paretorecords.frontier import f_minus
+from paretorecords.frontier import f_minus, f_plus
 from paretorecords.harness import (
     CheckpointRow,
     ExperimentConfig,
@@ -136,8 +136,8 @@ def test_trial_determinism_and_chunk_invariance():
 
 def test_trajectory_book_is_the_per_point_book():
     # the engine's filters are exact: at every state it yields, its book
-    # (record coordinates, sums and times included) is the book fed the same
-    # stream one point at a time, up to the same n
+    # (record coordinates included) is the book fed the same stream one point
+    # at a time, up to the same n
     for d in (1, 2, 3, 4):
         cfg = ExperimentConfig(d=d, n_max=2000, master_seed=31 + d,
                                records_time=True, top_m=5)
@@ -152,6 +152,35 @@ def test_trajectory_book_is_the_per_point_book():
                 clocks.append(clock)
             assert plain.n == cfg.n_max
             assert clocks.count("obs") == len(cfg.grid) and clocks.count("rec") == plain.R
+
+
+def test_record_sums_derived_bitwise_and_f_plus_is_top_sum():
+    # the book derives its record sums from the coordinates: bitwise the sum
+    # of each current record taken as a 1-d point, whether the book was fed
+    # point by point or by the engine, which sums rows of a 2-d block
+    rng = np.random.default_rng(8)
+
+    def check_sums(book):
+        each = [coord_sums(rec) for rec in book.record_coords]
+        assert book.record_sums.tobytes() == np.array(each).tobytes(), (book.d, book.n)
+
+    for d in range(1, 11):
+        plain = RecordBook(d)
+        for row in rng.exponential(size=(400, d)):
+            plain.observe(row)
+            if plain.n % 50 == 0:
+                check_sums(plain)
+        # F- corners multiply steeply with d, so the high-d runs stay short
+        cfg = ExperimentConfig(d=d, n_max=2000 if d <= 5 else 24, master_seed=d)
+        for _, book, _ in harness.trajectory(cfg, 0):
+            check_sums(book)
+    # F+ is read off the top sums: at every state it is the largest record sum
+    for d in range(1, 6):
+        for top_m in (1, 8):
+            cfg = ExperimentConfig(d=d, n_max=2000, master_seed=40 + d,
+                                   records_time=True, top_m=top_m)
+            for _, book, _ in harness.trajectory(cfg, 1):
+                assert f_plus(book) == book.record_sums.max(), (d, top_m, book.n)
 
 
 def _frozen_full_block_trajectory(cfg, trial, chunk):
@@ -712,6 +741,18 @@ def test_lil_diagnostics_report():
         assert w["ratio_min"] <= w["ratio_max"] <= w["run_ratio_max"]
     text = report.to_text()
     assert "obs windows" in text and "rec windows" in text
+
+
+def test_lil_windows_just_below_a_power_of_two():
+    # log2 rounds 2**49 - 1 and 2**53 - 1 up to the next power, whose window
+    # would leave the row out; each row must land in the window that holds it
+    row = run_trial(ExperimentConfig(d=2, n_max=20, checkpoints=(20,)), 0)[0]
+    rows = [replace(row, n=n) for n in (2**49 - 1, 2**53 - 1, 2**62)]
+    rows += [replace(row, clock="rec", m=m) for m in (2**53 - 1, 2**53)]
+    report = lil_diagnostics(rows)
+    assert [(w["lo"], w["count"]) for w in report.obs_windows] == [
+        (2**48, 1), (2**52, 1), (2**62, 1)]
+    assert [(w["lo"], w["count"]) for w in report.rec_windows] == [(2**52, 1), (2**53, 1)]
 
 
 def test_mean_record_count_matches_exact_curve():

@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves, and is exported once;
-every entry that takes an integer checks it the same way."""
+every entry that takes an integer, or a real, checks it the same way."""
 
 import importlib
+import math
 import pkgutil
 
 import numpy as np
@@ -96,3 +97,26 @@ def test_integer_gate(entry, call, good, tmp_path):
         with pytest.raises(ValueError):
             call(bad, tmp_path)
     call(np.int64(good), tmp_path)
+
+
+# (entry point(argument), call with that argument set to x, a valid x)
+REAL_ENTRIES = [
+    ("fplus_centering(n)", lambda x: analytics.fplus_centering(x, 2), 100.0),
+    ("tm_centering(m)", lambda x: analytics.tm_centering(x, 2), 5.0),
+    ("records_time_fplus_centering(m)",
+     lambda x: analytics.records_time_fplus_centering(x, 3), 5.0),
+    ("asym_mean_records(n)", lambda x: analytics.asym_mean_records(x, 2, 1), 1e6),
+    ("lower_bound_probability(n)", lambda x: frontier.lower_bound_probability(x, 1.0, 2), 100.0),
+    ("lower_bound_probability(b)", lambda x: frontier.lower_bound_probability(100.0, x, 2), 1.0),
+    ("geometric_grid(ratio)", lambda x: harness.geometric_grid(100, x), 1.5),
+]
+
+
+@pytest.mark.parametrize("entry, call, good", REAL_ENTRIES, ids=[e[0] for e in REAL_ENTRIES])
+def test_real_gate(entry, call, good):
+    """Every public entry that takes a real refuses a string, a bool, None,
+    nan and inf with ValueError, and takes a numpy float."""
+    for bad in (str(good), True, None, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            call(bad)
+    assert call(np.float64(good)) == call(good)

@@ -109,7 +109,6 @@ def test_multi_kill():
     assert outs[3] == ObserveOutcome(True, 3)
     assert (book.R, book.r, book.beta) == (4, 1, 3)
     assert book.record_coords.tolist() == [[4.0, 4.0]]
-    assert book.record_times.tolist() == [4]
 
 
 def test_dimension_mismatch():
@@ -124,7 +123,6 @@ def test_oracle_example():
     book = rebuild_oracle([(1, 2), (2, 3)])
     assert (book.n, book.R, book.r, book.beta) == (2, 2, 1, 1)
     assert book.record_coords.tolist() == [[2.0, 3.0]]
-    assert book.record_times.tolist() == [2]
 
 
 def test_oracle_empty():
