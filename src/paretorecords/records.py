@@ -73,8 +73,12 @@ def _as_int(value, name: str, lo: int, hi: int | None = None) -> int:
 def _as_real(value, name: str, lo: float | None = None) -> float:
     """The one gate for reals from outside: a finite non-bool numbers.Real,
     at least ``lo`` when given, returned as a float, else ValueError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or (lo is not None and value < lo)):
+    try:
+        bad = (isinstance(value, bool) or not isinstance(value, numbers.Real)
+               or not math.isfinite(value) or (lo is not None and value < lo))
+    except OverflowError:  # an int or Fraction beyond the float range
+        bad = True
+    if bad:
         bound = "" if lo is None else f" >= {lo}"
         raise ValueError(f"{name} must be a finite real{bound}, got {value!r}")
     return float(value)

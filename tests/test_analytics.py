@@ -5,6 +5,7 @@ by independent scripts before the module was written; they are frozen here
 as regression pins.
 """
 
+import array
 import hashlib
 import math
 from fractions import Fraction
@@ -354,6 +355,42 @@ def test_sample_y_matches_bisection_reference(n, d, monkeypatch):
     assert np.all((draws >= table.edges[0]) & (draws <= table.edges[-1]))
     assert max(calls[: len(us)]) <= 4  # one density call per Newton iteration
     assert max(calls) <= 80  # the cap: only the tails fall back to bisection
+    # the panel model's start usually meets the stop rule at the first call
+    assert np.mean(calls[: len(us)]) <= 1.1
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log1p:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, 1.0, 0.0, -3.0], ids=["nan", "one", "zero", "negative"])
+@pytest.mark.parametrize("n, d", [
+    (1, 1), (2, 1), (50, 3), (10**3, 4), (10**5, 2), (10**7, 2), (10, 8), (10**12, 3),
+])
+def test_sample_y_start_model_is_only_a_start(n, d, bad, monkeypatch):
+    # a model that is not finite (nan), wrong but usable (density 1 + s + ...
+    # + s^4, whose inverse lands off the root, inside the panel or not) or
+    # refused (a density that is zero or negative) only moves the start: the
+    # true density still certifies every draw
+    table = analytics._CdfTable(n, d)
+    monkeypatch.setattr(table, "coef", array.array("d", [bad]) * len(table.coef))
+    us = [float(u) for u in ObservationStream(5, 0, 1).take_uniforms(100)[:, 0]]
+    reference = [_bisection_reference(table, u) for u in us + list(TAIL_US)]
+
+    calls = []
+    density = analytics._density
+
+    def counting_density(*args):
+        calls[-1] += 1
+        return density(*args)
+
+    monkeypatch.setattr(analytics, "_density", counting_density)
+    draws = []
+    for u in us + list(TAIL_US):
+        calls.append(0)
+        draws.append(table.invert(u))
+
+    assert np.max(np.abs(np.array(draws) - np.array(reference))) <= 1e-12
+    assert max(calls) <= 80
+    if bad != 1.0:  # a refused model leaves the linear start
+        assert max(calls[: len(us)]) <= 4
 
 
 # the cases of test_sample_y_matches_bisection_reference
@@ -371,11 +408,11 @@ def test_sampler_draws_are_bitwise_pinned():
     tables = [analytics._CdfTable(n, d) for n, d in _PINNED_INVERT_CASES]
     inverted = [table.invert(u) for table in tables for u in us + list(TAIL_US)]
     assert hashlib.sha256(repr(inverted).encode()).hexdigest() == (
-        "8e05e1644873a465c5566af17e1e47395852bfbbf71ce74bd15fe1e3bdfedd37")
+        "7f7701f8a1c9bff6fac54692f1c43b0c4085d59d3de01fc7a8ff15ddb6674527")
     s = ObservationStream(20260817, 0, 1)
     draws = [sample_y(s, 10**5, 2) for _ in range(2000)]
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
-        "0af2635c862339e84922a23d52529dc6aae70786b6aac375c761f4a48ecfae14")
+        "e9c2cdb1e9eafed63463a4a7517425c6e9d0767e8931067058615fc5322c38f2")
 
 
 def test_cdf_table_cache_is_bounded():

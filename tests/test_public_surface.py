@@ -120,3 +120,12 @@ def test_real_gate(entry, call, good):
         with pytest.raises(ValueError):
             call(bad)
     assert call(np.float64(good)) == call(good)
+
+
+@pytest.mark.parametrize("entry, call, good", REAL_ENTRIES, ids=[e[0] for e in REAL_ENTRIES])
+def test_real_gate_int_beyond_float_range(entry, call, good):
+    """An int too large for a float is refused with the gate's ValueError
+    naming the argument, not with the OverflowError of converting it."""
+    name = entry[entry.index("(") + 1: -1]
+    with pytest.raises(ValueError, match=f"{name} must be a finite real"):
+        call(10**400)
