@@ -12,10 +12,12 @@ still produce byte-identical output files.  The CSV columns, writer, reader
 and aggregated columns all follow ``CheckpointRow``'s fields in order; each
 file is renamed into place once complete, and ``summary.json`` comes last.
 The rows writer formats each line with one %-format string built from that
-schema (17 significant digits per float, ``csv``'s CRLF line ends), and the
-aggregate writer reduces the columns of a group that are finite in the same
-trials together, along the last axis of one contiguous array, which gives
-bitwise the values of reducing each column alone.
+schema (17 significant digits per float, ``csv``'s CRLF line ends); when the
+rows share most of their top sums, as a trial's rows do, it makes one text
+per distinct top sum and joins the stored texts.  The aggregate writer
+takes each (column, key) pair as a lane of finite values and reduces all
+lanes of one length together, along the last axis of one contiguous array,
+which gives bitwise the values of reducing each lane alone.
 
 The engine filters each block of observations before touching the book.
 Stage 1 runs on the uniforms, before the exponential map: in exact
@@ -70,7 +72,7 @@ from .analytics import (
     records_time_fplus_centering,
 )
 from .frontier import RegionCorners, f_plus
-from .records import RecordBook, _as_int, _as_real, coord_sums
+from .records import RecordBook, _as_int, _as_real, _shown, coord_sums
 from .rng import ObservationStream, _exponential
 
 __all__ = [
@@ -143,7 +145,7 @@ class ExperimentConfig:
                            _as_int(self.master_seed, "master_seed", 0, 2**64 - 1))
         for name in ("records_time", "strip_check"):
             if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be true or false, got {_shown(getattr(self, name))}")
         # a bad ratio fails here, not when the grid is first used
         geometric_grid(self.n_max, self.checkpoint_ratio)
         object.__setattr__(self, "checkpoint_ratio", float(self.checkpoint_ratio))
@@ -352,17 +354,21 @@ def _header(top_m: int, strip_check: bool) -> list:
     return cols
 
 
-def _line_formatter(top_m: int, strip_check: bool):
-    """The function giving a row's CSV line: one %-format over its fields,
-    the bhat tuple spread over top_m cells.  No cell needs quoting: the
-    clock is "obs" or "rec", and every other cell is a number."""
+# The parts of a row's line, in schema order: the %-formats of the fields
+# before bhat and after it, and the getters of those fields and of bhat.  No
+# cell needs quoting: the clock is "obs" or "rec", and every other cell is a
+# number.
+def _row_parts(strip_check: bool) -> tuple:
     schema = _CSV_FIELDS[strip_check]
-    fmt = ",".join(",".join(["%.17g"] * top_m) if kind is tuple else _CELL[kind]
-                   for _, kind in schema) + _EOL
-    names = [name for name, _ in schema]
     cut = next(i for i, (_, kind) in enumerate(schema) if kind is tuple)
-    head, tail = attrgetter(*names[:cut]), attrgetter(*names[cut + 1:])
-    return lambda row: fmt % (*head(row), *getattr(row, names[cut]), *tail(row))
+    head, tail = schema[:cut], schema[cut + 1:]
+    return ("".join(_CELL[kind] + "," for _, kind in head),
+            "".join("," + _CELL[kind] for _, kind in tail) + _EOL,
+            attrgetter(*(name for name, _ in head)), attrgetter(schema[cut][0]),
+            attrgetter(*(name for name, _ in tail)))
+
+
+_ROW_PARTS = {strip: _row_parts(strip) for strip in (False, True)}
 
 
 @contextmanager
@@ -378,17 +384,33 @@ def _atomic_open(path: Path):
 
 
 def _write_rows(path: Path, rows: list, cfg: ExperimentConfig) -> None:
-    line = _line_formatter(cfg.top_m, cfg.strip_check)
+    """Write the rows CSV.  A trial's rows share most of their top sums, and
+    share none with another trial's.  So when the first trial's bhat cells
+    are at most half distinct, each distinct value of the file is formatted
+    once and each row joins the stored texts, provided no cell is zero: 0.0
+    and -0.0 are one key with two texts.  Otherwise each line is one
+    %-format, which is then cheaper."""
+    head_fmt, tail_fmt, head, bhat, tail = _ROW_PARTS[cfg.strip_check]
+    first = list(next(groupby(rows, attrgetter("trial")), (0, ()))[1])
+    shared = 2 * len(set().union(*map(bhat, first))) <= cfg.top_m * len(first)
+    distinct = set().union(*map(bhat, rows)) if shared else ()
+    if shared and 0.0 not in distinct:
+        text = dict(zip(distinct, map("%.17g".__mod__, distinct))).__getitem__
+        fmt = head_fmt + "%s" + tail_fmt
+        lines = (fmt % (*head(row), ",".join(map(text, bhat(row))), *tail(row)) for row in rows)
+    else:
+        fmt = head_fmt + ",".join(["%.17g"] * cfg.top_m) + tail_fmt
+        lines = (fmt % (*head(row), *bhat(row), *tail(row)) for row in rows)
     with _atomic_open(path) as fh:
         fh.write(",".join(_header(cfg.top_m, cfg.strip_check)) + _EOL)
-        fh.writelines(line(row) for row in rows)
+        fh.writelines(lines)
 
 
 # aggregated: every number a row holds but its trial index, n and the bhat tuple
 _AGG_COLS = [name for name, kind in _CSV_FIELDS[True] if kind in (int, float)
              and name not in ("trial", "n")]
-# each statistic reduces a (columns x values) array of finite values along its
-# last axis, one result per column; the writer gives NaN for all but the
+# each statistic reduces a (lanes x values) array of finite values along its
+# last axis, one result per lane; the writer gives NaN for all but the
 # count when there are no values, and sd needs two
 _AGG_STATS = {
     "mean": lambda x: np.mean(x, axis=-1),
@@ -403,36 +425,41 @@ _AGG_STATS = {
 
 
 def _write_aggregates(path: Path, rows: list, key_attr: str) -> None:
-    """One output row per (key value, statistic), keys ascending; each group
-    is reduced in trial order.
+    """One output row per (key value, statistic), keys ascending; each
+    column is reduced over its finite values in the key's rows, in trial
+    order.
 
-    The columns of a key's group that are finite in the same trials are
-    reduced together, along the contiguous last axis of their (columns x
-    trials) slice: numpy then sums in the order it uses on one column, so
-    every cell is bitwise the per-column value."""
+    Each (column, key) pair is a lane.  The lanes of one length, of every
+    key, are stacked into one contiguous (lanes x length) array and reduced
+    together along its last axis: numpy then sums each lane in the order it
+    uses on that lane alone, so every cell is bitwise the per-column value."""
     keys = np.array([getattr(r, key_attr) for r in rows], dtype=np.int64)
     agg_values = attrgetter(*_AGG_COLS)
     table = np.array([agg_values(r) for r in rows],
                      dtype=np.float64).reshape(len(rows), len(_AGG_COLS))
     order = np.argsort(keys, kind="stable")
-    keys, table = keys[order], table[order]
-    uniq, starts = np.unique(keys, return_index=True)
+    uniq, key_index = np.unique(keys[order], return_inverse=True)
+    # the cells column by column, each column's by key, then in trial order,
+    # so lane c * len(uniq) + k, column c over key k's rows, is one run
+    values = table[order].T.ravel()
+    lanes = (np.arange(len(_AGG_COLS))[:, None] * len(uniq) + key_index).ravel()
+    finite = np.isfinite(values)
+    values, lanes = values[finite], lanes[finite]
+    length = np.bincount(lanes, minlength=len(_AGG_COLS) * len(uniq))
+    start = np.cumsum(length) - length
+    cells = np.empty((len(_AGG_STATS), length.size))
     line = "%d,%s" + ",%.17g" * len(_AGG_COLS) + _EOL
     with _atomic_open(path) as fh:
         fh.write(",".join([key_attr, "statistic"] + _AGG_COLS) + _EOL)
-        for key, block in zip(uniq.tolist(), np.split(table, starts[1:])):
-            cols = block.T
-            finite = np.isfinite(cols)
-            groups = {}  # finiteness mask -> the columns that have it
-            for c, mask in enumerate(finite):
-                groups.setdefault(mask.tobytes(), []).append(c)
-            cells = np.empty((len(_AGG_STATS), len(_AGG_COLS)))
-            for members in groups.values():
-                x = np.ascontiguousarray(cols[np.ix_(members, finite[members[0]])])
-                for s, (stat, reduce) in enumerate(_AGG_STATS.items()):
-                    cells[s, members] = reduce(x) if x.size or stat == "count" else math.nan
-            fh.writelines(line % (key, stat, *stat_cells)
-                          for stat, stat_cells in zip(_AGG_STATS, cells.tolist()))
+        for size in np.unique(length).tolist():
+            members = np.flatnonzero(length == size)
+            x = values[start[members, None] + np.arange(size)]
+            for s, (stat, reduce) in enumerate(_AGG_STATS.items()):
+                cells[s, members] = reduce(x) if size or stat == "count" else math.nan
+        per_key = cells.reshape(len(_AGG_STATS), len(_AGG_COLS), len(uniq)).transpose(2, 0, 1)
+        fh.writelines(line % (key, stat, *stat_cells)
+                      for key, key_cells in zip(uniq.tolist(), per_key.tolist())
+                      for stat, stat_cells in zip(_AGG_STATS, key_cells))
 
 
 def load_rows(path) -> list:

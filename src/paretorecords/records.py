@@ -55,6 +55,16 @@ def _as_coords(x, d: int | None = None) -> np.ndarray:
     return arr
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a gate's message; a number too long for Python to
+    print in decimal (over 4300 digits) shows as its bit length instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        sign = "-" if value < 0 else ""
+        return f"{sign}<{type(value).__name__} of {abs(int(value)).bit_length()} bits>"
+
+
 def _as_int(value, name: str, lo: int, hi: int | None = None) -> int:
     """The one gate for integers from outside: an int or numpy integer, never
     a bool, in ``[lo, hi]`` (unbounded above when ``hi`` is None), returned as
@@ -66,7 +76,7 @@ def _as_int(value, name: str, lo: int, hi: int | None = None) -> int:
         else:
             kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
                 lo, f"an integer >= {lo}")
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+        raise ValueError(f"{name} must be {kind}, got {_shown(value)}")
     return int(value)
 
 
@@ -80,7 +90,7 @@ def _as_real(value, name: str, lo: float | None = None) -> float:
         bad = True
     if bad:
         bound = "" if lo is None else f" >= {lo}"
-        raise ValueError(f"{name} must be a finite real{bound}, got {value!r}")
+        raise ValueError(f"{name} must be a finite real{bound}, got {_shown(value)}")
     return float(value)
 
 

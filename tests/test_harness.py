@@ -25,7 +25,6 @@ from paretorecords.frontier import f_minus, f_plus
 from paretorecords.harness import (
     CheckpointRow,
     ExperimentConfig,
-    _line_formatter,
     _simulate,
     geometric_grid,
     ks_statistic,
@@ -46,7 +45,10 @@ def tree_bytes(root: Path) -> dict:
 
 def serialize(rows):
     # NaN-safe row comparison: 17g text round-trips floats exactly
-    return [_line_formatter(len(r.bhat), strip_check=True)(r) for r in rows]
+    def text(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+    return [[tuple(map(text, v)) if isinstance(v, tuple) else text(v)
+             for v in vars(r).values()] for r in rows]
 
 
 def test_geometric_grid():
@@ -109,7 +111,7 @@ def test_config_validation(tmp_path):
         assert (tmp_path / f"ratio{i}" / "summary.json").is_file()
     # the flags used to be taken by truthiness: records_time="false" turned it on
     for name in ("records_time", "strip_check"):
-        for bad in ("false", 1, 0, None, np.bool_(True)):
+        for bad in ("false", 1, 0, None, np.bool_(True), 10**5000):
             with pytest.raises(ValueError, match=name):
                 ExperimentConfig(**{"d": 2, "n_max": 10, name: bad})
     cfg = ExperimentConfig(d=2, n_max=100, checkpoints=(50, 10, 50, np.int64(100)))
@@ -567,8 +569,31 @@ def test_writers_match_reference_on_extreme_values(tmp_path):
         # n = 2: the key sorts first although its row comes last
         row(4, 2, (nan, nan, nan, nan, nan, nan, nan, nan), (nan, nan, nan)),
     ]
+    # the top sums repeat across rows, as a trial's rows share theirs, so
+    # each distinct value may be formatted once: 0.0 and -0.0 are equal keys
+    # but keep their own texts, in either order
+    bhats = [(0.0, -0.0, tiny), (-0.0, 0.0, -inf), (1.5, -0.0, float("nan")),
+             (1.5, 0.0, np.float64(nan)), (inf, 1.5, -nan), (inf - inf, tiny, 0.0)]
+    shared = [row(t, 9, (1.5, 2.0, 0.5, 0.0, -0.0, nan, 0.25, -0.0), bhat)
+              for t in range(4) for bhat in bhats]
+
+    # records-time-like, in trial order: keys with 4, 3, 1 and 2 rows, and
+    # norm_width finite in none, one and all rows of a key; the top sums
+    # repeat, with NaNs of other sources, inf, -inf and the smallest
+    # subnormal among them
+    def rec_row(trial, m, norm_width):
+        bhat = (inf, 1.5, (tiny, -inf, float("nan"), -nan)[trial % 4])
+        return replace(row(trial, 10 * m + trial, (m, m + trial, trial, 0.5, nan,
+                                                   norm_width, 0.1 * trial, tiny), bhat),
+                       clock="rec", m=m)
+
+    rec = [rec_row(0, 1, nan), rec_row(0, 2, inf), rec_row(0, 5, 1.0),
+           rec_row(1, 1, nan), rec_row(1, 2, 0.75), rec_row(1, 5, 2.0),
+           rec_row(2, 1, nan), rec_row(2, 2, nan), rec_row(3, 1, nan), rec_row(3, 3, -0.0)]
     for strip_check in (True, False):
         assert_writers_match_reference(tmp_path, rows, "n", 3, strip_check)
+        assert_writers_match_reference(tmp_path, shared + rows, "n", 3, strip_check)
+        assert_writers_match_reference(tmp_path, rec, "m", 3, strip_check)
 
 
 def test_writers_match_reference_on_no_rows(tmp_path):
@@ -594,7 +619,7 @@ def test_failed_write_leaves_no_partial_or_complete_looking_output(tmp_path, mon
     def fail(x):
         raise RuntimeError("statistic failed")
 
-    # the aggregate writer fails after its first key's lines are written
+    # the aggregate writer fails after its header is written
     monkeypatch.setitem(harness._AGG_STATS, "max", fail)
     with pytest.raises(RuntimeError, match="statistic failed"):
         run_ensemble(cfg, out)

@@ -96,6 +96,12 @@ def test_integer_gate(entry, call, good, tmp_path):
     for bad in (True, 2.5):
         with pytest.raises(ValueError):
             call(bad, tmp_path)
+    # an int too long to print in decimal (over 4300 digits) gets the same
+    # message, naming the argument; negative, since every gate refuses it,
+    # and a valid huge value would run the entry (threads=10**5000, say)
+    name = entry[entry.index("(") + 1:-1] if "(" in entry else r"\w+"
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got -<int of 16610 bits>$"):
+        call(-10**5000, tmp_path)
     call(np.int64(good), tmp_path)
 
 
@@ -127,5 +133,6 @@ def test_real_gate_int_beyond_float_range(entry, call, good):
     """An int too large for a float is refused with the gate's ValueError
     naming the argument, not with the OverflowError of converting it."""
     name = entry[entry.index("(") + 1: -1]
-    with pytest.raises(ValueError, match=f"{name} must be a finite real"):
-        call(10**400)
+    for big in (10**400, 10**5000):  # the second is too long to print in decimal
+        with pytest.raises(ValueError, match=f"{name} must be a finite real"):
+            call(big)
