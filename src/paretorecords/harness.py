@@ -20,16 +20,26 @@ lanes of one length together, along the last axis of one contiguous array,
 which gives bitwise the values of reducing each lane alone.
 
 The engine filters each block of observations before touching the book.
-Stage 1 runs on the uniforms, before the exponential map: in exact
-arithmetic a point's coordinate sum is at least ``T`` when and only when
-``prod_j (1 - u_j) <= exp(-T)``, and every ``1 - u_j`` is exact, so one
-product per point keeps the points whose sum can reach the block's floor:
-the smaller of the smallest frontier sum (minus a safety margin much larger
+Stage 1 runs on the stream's raw Philox words, before any float: words,
+then a gate, then a product test, then the map.  The block's floor is the
+smaller of the smallest frontier sum (minus a safety margin much larger
 than any rounding error) and the smallest kept top sum (no floor while the
-top sums are still filling).  ``_uniform_survivors`` proves that no point whose computed
-sum reaches the floor is dropped.  Only survivors are mapped to
-coordinates and summed; the map is elementwise and the sums are row-wise,
-so they get bitwise the values a full-block transform gives.  Of them,
+top sums are still filling).  In exact arithmetic a point's coordinate sum
+is at least ``T`` when and only when ``prod_j (1 - u_j) <= exp(-T)``, and
+that needs some ``u_j >= 1 - exp(-T/d)``: so the word gate
+(``_word_bound``) keeps a row only when some used word is at least ``K <<
+11``, an integer test on the words, and ``_word_bound`` proves that it
+passes every row the product test keeps.  Only the rows it passes are
+turned into uniforms (``rng._uniform``), and one product per row
+(``_uniform_survivors``, whose proof shows that no point whose computed
+sum reaches the floor is dropped; every ``1 - u_j`` is exact) keeps the
+points whose sum can reach the floor.  Where there is no floor, on blocks
+of fewer than ``_WORD_GATE_BLOCK`` observations, and where the gate may
+pass more than a ``_WORD_GATE_PASS`` share of the rows, the block is read
+as uniforms whole and goes straight to the product test.  Only
+survivors are mapped to coordinates and summed; the maps are elementwise
+and the sums are row-wise, so they get bitwise the values a full-block
+transform gives.  Of them,
 points whose sum is below the smallest frontier sum minus the margin are
 strictly dominated, because the smallest frontier sum only grows.  Stage 2
 drops points some block-start record strictly dominates; domination
@@ -42,7 +52,7 @@ hold at most as many observations as were seen before them (at least 64),
 so they double up to the chunk size and the filters work against recent
 records early on, when records are frequent.  Net effect: identical books
 and rows at any block size, with the exponential map and the sums paid
-only by the few points that can matter.
+only by the few points that can matter, and most words never converted.
 
 The smallest frontier sum comes from the corners of the record-setting
 region (``frontier.RegionCorners``), which each trial updates record by
@@ -73,7 +83,7 @@ from .analytics import (
 )
 from .frontier import RegionCorners, f_plus
 from .records import RecordBook, _as_int, _as_real, _shown, coord_sums
-from .rng import ObservationStream, _exponential
+from .rng import ObservationStream, _exponential, _uniform
 
 __all__ = [
     "ExperimentConfig",
@@ -94,6 +104,12 @@ _CHUNK = 1 << 16
 _FIRST_BLOCK = 64  # blocks start this small and double up to the chunk size
 _SUM_FILTER_MARGIN = 1e-9  # dwarfs rounding error in any realistic sum
 _UNIFORM_FILTER_LIMIT = 700.0  # exp(-700) is a normal double; see _uniform_survivors
+# The word gate pays on blocks of at least _WORD_GATE_BLOCK observations
+# that it thins to at most a _WORD_GATE_PASS share; elsewhere its fixed cost,
+# or mapping what it passes, outweighs the conversions it saves
+# (BENCH_word_gate.json, per_block and pass_sweep).
+_WORD_GATE_BLOCK = 4096
+_WORD_GATE_PASS = 0.05
 _MAX_GRID_STEPS = 10**5  # far more checkpoints than any grid needs
 
 
@@ -269,6 +285,79 @@ def _uniform_survivors(u: np.ndarray, floor: float, buf: np.ndarray) -> np.ndarr
     return np.nonzero(q <= math.exp(slack - floor))[0]
 
 
+def _word_bound(floor: float, d: int) -> int:
+    """The word gate's bound ``K << 11`` for ``floor`` in ``d`` dimensions,
+    or 0 where the gate would keep every row.
+
+    A row of stream words passes the gate when some used word is at least
+    ``K << 11``, that is when some uniform ``u_j = (w_j >> 11) 2**-53`` is
+    at least ``K 2**-53``.  ``K = 2**53 - G`` with ``G = ceil(2**53 exp(-b))``
+    and ``b = (floor - 2 slack) / d``, all computed in floats, where
+    ``slack`` is ``_uniform_survivors``' slack: ``K`` is ``(1 - t**(1/d))
+    2**53``, rounded down, for the twice-slackened threshold ``t = exp(2
+    slack - floor)``.  There is no bound (0 is returned) unless ``0 <
+    floor < _UNIFORM_FILTER_LIMIT`` and ``K > 0``.
+
+    No row that ``_uniform_survivors`` keeps fails the gate.  Use the
+    rounding bound ``eta = 2**-48`` and the notation of that proof, with
+    ``s`` the computed slack, at least ``16 (d + 2) eta (1 + floor) (1 -
+    eta)``.  A row fails the gate when every ``u_j <= (K - 1) 2**-53``, so
+    every (exact) factor ``1 - u_j`` exceeds ``1 - K 2**-53 = G 2**-53 >=
+    exp(-b_c) (1 - eta)``, ``b_c`` being the computed ``b``.  The computed
+    product of ``d`` factors, each at least ``m``, is at least ``m**d (1 -
+    2**-53)**(d - 1)`` while the running product stays normal (each
+    product is rounded to nearest), so the row's ``ln q`` exceeds ``-d b_c
+    - 1.01 d eta - d 2**-52``.  The two roundings in ``b_c`` give ``d b_c
+    <= floor - 2 s + floor 2**-51``, so ``ln q > -floor + 2 s - floor
+    2**-51 - (1.01 d + d/16) eta``.  The threshold rounds ``exp`` of the
+    rounded ``s - floor``, so its log is at most ``s - floor + 2**-53 (1 +
+    floor) + 2 eta``.  The first bound is above the second when ``s >=
+    (1 + floor) (1.1 d + 2.3) eta``, which ``s`` exceeds more than
+    fourteen times over, so ``q`` exceeds the threshold and the row is
+    dropped there too.  Every prefix of the product has the same lower
+    bound or a larger one, and the threshold exceeds ``exp(-701) >
+    2**-1022``, so the running product does stay normal: no row the gate
+    drops has an underflowed product.  Where ``floor <= 2 slack``, ``b_c <=
+    0`` and ``K <= 0``, so there is no gate.
+    """
+    if not 0.0 < floor < _UNIFORM_FILTER_LIMIT:
+        return 0
+    slack = (d + 2) * 2.0**-44 * (1.0 + floor)
+    b = (floor - 2.0 * slack) / d
+    k = (1 << 53) - math.ceil(math.ldexp(math.exp(-b), 53))
+    return k << 11 if k > 0 else 0
+
+
+def _word_survivors(words: np.ndarray, bound: int, buf: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``words`` whose largest used word is at least
+    ``bound`` (``_word_bound``); ``buf`` is ``_uniform_survivors``' buffer."""
+    k, d = words.shape
+    top = words[:, 0]
+    if d > 1:
+        top = np.maximum(top, words[:, 1], out=buf[0, :k].view(np.uint64))
+        for j in range(2, d):
+            np.maximum(top, words[:, j], out=top)
+    return np.flatnonzero(top >= np.uint64(bound))
+
+
+def _stage1(stream: ObservationStream, take: int, floor: float, buf: np.ndarray) -> tuple:
+    """Read the next ``take`` observations of ``stream`` and return the
+    block indices of the rows whose sum can reach ``floor``, and their
+    uniforms: the word gate, then ``_uniform_survivors`` on the rows it
+    passes, or on the whole block where the gate does not pay."""
+    bound = _word_bound(floor, stream.dim) if take >= _WORD_GATE_BLOCK else 0
+    # a row passes the gate with probability at most dim * (1 - bound / 2**64)
+    if stream.dim * (2.0**64 - bound) > _WORD_GATE_PASS * 2.0**64:
+        u = stream.take_uniforms(take)
+        kept = _uniform_survivors(u, floor, buf)
+        return kept, u[kept]
+    words = stream.take_words(take)
+    gated = _word_survivors(words, bound, buf)
+    u = _uniform(words[gated])
+    kept = _uniform_survivors(u, floor, buf)
+    return gated[kept], u[kept]
+
+
 def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
     """Run one trial through the filtered engine, yielding its states.
 
@@ -286,20 +375,20 @@ def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
     book = RecordBook(cfg.d, top_capacity=cfg.top_m)
     grid = cfg.grid
     corners = RegionCorners(cfg.d)
-    # stage-1 products, reused by every block: past the first 64 observations
-    # a block holds at most as many as were seen before it, so at most n_max/2
+    # stage-1 word maxima and products, reused by every block: past the first
+    # 64 observations a block holds at most as many as were seen before it,
+    # so at most n_max/2
     buf = np.empty((2, min(chunk, cfg.n_max, max(cfg.n_max // 2, _FIRST_BLOCK))))
     gi = 0
     pos = 0
     while pos < cfg.n_max:
         target = grid[gi] if gi < len(grid) else cfg.n_max
         take = min(chunk, target - pos, max(pos, _FIRST_BLOCK))
-        u = stream.take_uniforms(take)
         fmin = corners.value - _SUM_FILTER_MARGIN
         top = book.top_sums
         floor = min(fmin, top[-1] if top.size == cfg.top_m else -math.inf)
-        kept = _uniform_survivors(u, floor, buf)
-        pts = _exponential(u[kept])
+        kept, u = _stage1(stream, take, floor, buf)
+        pts = _exponential(u)
         sums = coord_sums(pts)
         cand = np.nonzero(sums >= fmin)[0]
         if cand.size:

@@ -20,6 +20,16 @@ next read draws from it directly.  Only a read after the cursor has moved
 away (``seek``, or an assignment to ``index``) builds a new generator at the
 new address.  Copies and pickles leave the generator behind and build their
 own on their first read, so no two streams share one.
+
+A read returns either the raw 64-bit Philox words (``take_words``) or the
+uniforms on [0, 1) they stand for (``take_uniforms``).  ``_uniform`` is the
+one word->uniform map, ``(w >> 11) * 2**-53``, bitwise what numpy's
+``Generator.random`` makes of the same word, so a word read and a uniform
+read at one address tie out exactly.  The trial engine reads words, drops
+most of a block by an integer test and maps only what is left.
+``take_uniforms`` stays on ``Generator.random``: a whole-block conversion
+there is no dearer than ``random_raw`` plus ``_uniform``, and a read of one
+observation (as ``analytics.sample_y`` makes per draw) is cheaper.
 """
 
 from __future__ import annotations
@@ -34,6 +44,15 @@ __all__ = ["ObservationStream"]
 _DOUBLES_PER_BLOCK = 4  # Philox4x64 emits 4 uint64 words per counter increment
 
 _U64 = 1 << 64
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """The word->uniform map: U = (w >> 11) * 2**-53, elementwise.
+
+    A multiple of 2**-53 in [0, 1) for every 64-bit word, and bitwise the
+    double ``Generator.random`` makes of the same Philox word.
+    """
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def _exponential(u: np.ndarray) -> np.ndarray:
@@ -99,6 +118,28 @@ class ObservationStream:
         """Position the cursor so the next ``take`` starts at ``obs_index``."""
         self.index = _as_int(obs_index, "obs_index", 0)
 
+    def _read(self, count: int, draw, dtype) -> np.ndarray:
+        """The used ``(count, dim)`` part of ``draw(gen, count * width)``,
+        the cursor advanced by ``count`` whole counter-block budgets."""
+        count = _as_int(count, "count", 0)
+        if count == 0:
+            return np.empty((0, self.dim), dtype=dtype)
+        gen = self._generator_at(self.index)
+        width = self._blocks_per_obs * _DOUBLES_PER_BLOCK
+        raw = draw(gen, count * width).reshape(count, width)
+        self.index += count
+        self._gen_index = self.index
+        return raw[:, : self.dim]
+
+    def take_words(self, count: int) -> np.ndarray:
+        """Next ``count`` observation slots as raw Philox words.
+
+        Returns a ``(count, dim)`` uint64 array and advances the cursor by
+        ``count``, exactly as ``take_uniforms`` does; ``_uniform`` of it is
+        bitwise ``take_uniforms(count)`` at the same address.
+        """
+        return self._read(count, lambda gen, k: gen.bit_generator.random_raw(k), np.uint64)
+
     def take_uniforms(self, count: int) -> np.ndarray:
         """Next ``count`` observation slots as raw U(0,1) matrices.
 
@@ -107,15 +148,7 @@ class ObservationStream:
         block budget, so uniform and exponential reads at the same address
         see the same underlying bits.
         """
-        count = _as_int(count, "count", 0)
-        if count == 0:
-            return np.empty((0, self.dim), dtype=np.float64)
-        gen = self._generator_at(self.index)
-        width = self._blocks_per_obs * _DOUBLES_PER_BLOCK
-        raw = gen.random(count * width).reshape(count, width)
-        self.index += count
-        self._gen_index = self.index
-        return raw[:, : self.dim]
+        return self._read(count, Generator.random, np.float64)
 
     def take(self, count: int) -> np.ndarray:
         """Next ``count`` observations as a ``(count, dim)`` array.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -15,10 +16,16 @@ from paretorecords.harness import ExperimentConfig, run_ensemble
 from paretorecords.rng import ObservationStream
 
 
-def run_cli(*argv):
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(*argv, timeout=None):
+    # the child imports the package from this checkout, installed or not
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
     return subprocess.run(
         [sys.executable, "-m", "paretorecords.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def tree_bytes(root: Path) -> dict:
@@ -352,11 +359,9 @@ def test_non_finite_checkpoint_ratio_exits_2(tmp_path, capsys):
 def test_checkpoint_ratio_near_one_exits_2(tmp_path):
     # a few ulps above 1 the grid loop would run ~10**16 times; it is refused
     # before the loop starts (the timeout turns a hang into a failure)
-    res = subprocess.run(
-        [sys.executable, "-m", "paretorecords.cli", "simulate", "--d", "2",
-         "--n-max", "100", "--checkpoint-ratio", "1.0000000000000002",
-         "--out-dir", str(tmp_path / "run")],
-        capture_output=True, text=True, timeout=60)
+    res = run_cli("simulate", "--d", "2", "--n-max", "100",
+                  "--checkpoint-ratio", "1.0000000000000002",
+                  "--out-dir", str(tmp_path / "run"), timeout=60)
     assert res.returncode == 2
     assert "checkpoint_ratio" in res.stderr
     assert not (tmp_path / "run").exists()

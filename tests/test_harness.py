@@ -36,7 +36,7 @@ from paretorecords.harness import (
 )
 from paretorecords.frontier import RegionCorners
 from paretorecords.records import RecordBook, coord_sums
-from paretorecords.rng import ObservationStream, _exponential
+from paretorecords.rng import ObservationStream, _exponential, _uniform
 
 
 def tree_bytes(root: Path) -> dict:
@@ -279,6 +279,123 @@ def test_uniform_filter_keeps_every_sum_at_the_floor():
         for floor in (-math.inf, harness._UNIFORM_FILTER_LIMIT, 1e300, math.inf):
             assert np.array_equal(harness._uniform_survivors(u, floor, buf),
                                   np.arange(len(u)))
+
+
+def _balanced_row_unit(floor, d, buf):
+    """The smallest unit m for which a row with every uniform at m * 2**-53
+    passes _uniform_survivors, or None if no such row does."""
+    def keeps(m):
+        return harness._uniform_survivors(np.full((1, d), m * 2.0**-53), floor, buf).size == 1
+
+    lo, hi = 0, 2**53 - 1
+    if not keeps(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if keeps(mid) else (mid + 1, hi)
+    return lo
+
+
+def test_word_gate_keeps_every_row_the_product_test_keeps():
+    # words crafted within a few units (u = unit * 2**-53) of the gate's
+    # bound K << 11, and of the balanced rows the product test only just
+    # keeps, at floors near 1e-3, 0.5, 13, 60 and 699: the gate passes every
+    # row that _uniform_survivors keeps
+    rng = np.random.default_rng(6)
+    n = 4000
+    buf = np.empty((2, n))
+    for d in range(1, 9):
+        for target in (1e-3, 0.5, 13.0, 60.0, 699.0):
+            for floor in (np.nextafter(target, -math.inf), target, np.nextafter(target, math.inf)):
+                floor = float(floor)
+                bound = harness._word_bound(floor, d)
+                assert 0 < bound < 2**64, (d, floor)
+                balanced = _balanced_row_unit(floor, d, buf)
+                for centre in (bound >> 11, balanced):
+                    if centre is None:  # no row's sum reaches the floor
+                        continue
+                    units = centre + rng.integers(-4, 5, size=(n, d))
+                    # in half the rows, some coordinates anywhere below the centre
+                    low = (rng.random((n, d)) < 0.5) & (np.arange(n) < n // 2)[:, None]
+                    units[low] = rng.integers(0, centre, size=low.sum())
+                    units = np.minimum(units, 2**53 - 1).astype(np.uint64)
+                    words = (units << np.uint64(11)) | rng.integers(
+                        0, 2**11, size=(n, d), dtype=np.uint64)
+                    passed = np.zeros(n, dtype=bool)
+                    passed[harness._word_survivors(words, bound, buf)] = True
+                    kept = harness._uniform_survivors(_uniform(words), floor, buf)
+                    assert passed[kept].all(), (d, floor, centre)
+                    if centre == balanced:
+                        assert kept.size, (d, floor)  # the check is not vacuous
+    # no gate where the product test keeps everything, or nearly so
+    words = ObservationStream(3, 0, 8).take_words(n)
+    for d in range(1, 9):
+        for floor in (-math.inf, -5.0, -0.0, 0.0, 1e-20, harness._UNIFORM_FILTER_LIMIT,
+                      1e300, math.inf):
+            assert harness._word_bound(floor, d) == 0, (d, floor)
+    assert np.array_equal(harness._word_survivors(words, 0, buf), np.arange(n))
+    # on stream words the gate does thin a block out: at d = 2 and floor 13
+    # about 2 exp(-6.5), 0.3 %, of the rows pass
+    words = ObservationStream(77, 0, 2).take_words(1 << 16)
+    buf = np.empty((2, len(words)))
+    passed = harness._word_survivors(words, harness._word_bound(13.0, 2), buf)
+    assert passed.size < 0.01 * len(words)
+    assert np.isin(harness._uniform_survivors(_uniform(words), 13.0, buf), passed).all()
+
+
+@pytest.fixture
+def gated(monkeypatch):
+    """The sizes of the blocks the word gate sees, in order."""
+    sizes = []
+    word_survivors = harness._word_survivors
+
+    def counting_gate(words, bound, buf):
+        sizes.append(len(words))
+        return word_survivors(words, bound, buf)
+
+    monkeypatch.setattr(harness, "_word_survivors", counting_gate)
+    return sizes
+
+
+def test_stage1_matches_the_uniform_path(gated):
+    # stage 1 on stream blocks below, at and above the gate's size, with
+    # floors from none to beyond any sum: the rows kept and their uniforms
+    # are bitwise those of the product test on the whole block of uniforms,
+    # and the stream stands where a uniform read leaves it
+    buf = np.empty((2, 20000))
+    for d in (1, 2, 3, 5):
+        for take in (harness._WORD_GATE_BLOCK - 1, harness._WORD_GATE_BLOCK, 20000):
+            for floor in (-math.inf, 0.0, 2.0, 6.0, 9.0, 13.0, 25.0, 60.0,
+                          harness._UNIFORM_FILTER_LIMIT):
+                stream, ref = ObservationStream(88, d, d), ObservationStream(88, d, d)
+                stream.seek(1000)
+                ref.seek(1000)
+                kept, u = harness._stage1(stream, take, floor, buf)
+                whole = ref.take_uniforms(take)
+                want = harness._uniform_survivors(whole, floor, buf)
+                assert np.array_equal(kept, want), (d, take, floor)
+                assert u.tobytes() == whole[want].tobytes(), (d, take, floor)
+                assert stream.index == ref.index
+    assert gated and min(gated) == harness._WORD_GATE_BLOCK
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_trajectory_with_word_gate_matches_frozen_full_block_engine(d, gated):
+    # trials long enough for blocks that the word gate reads: every state is
+    # the full-block engine's
+    for top_m in (1, 64):
+        for records_time in (False, True):
+            cfg = ExperimentConfig(d=d, n_max=60000, master_seed=70 + d, top_m=top_m,
+                                   records_time=records_time)
+            states = itertools.zip_longest(
+                harness.trajectory(cfg, 1),
+                _frozen_full_block_trajectory(cfg, 1, harness._CHUNK),
+                fillvalue=(None, None, None))
+            for (clock, book, corners), (ref_clock, ref, ref_corners) in states:
+                assert clock == ref_clock, (top_m, records_time)
+                assert corners.value == ref_corners.value
+                assert book.state_equals(ref), (top_m, records_time, clock, book.n)
+    assert gated
 
 
 def test_records_time_f_minus_matches_full_solves():

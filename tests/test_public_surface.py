@@ -64,9 +64,11 @@ INTEGER_ENTRIES = [
     ("ObservationStream(master_seed)", lambda k, tmp: ObservationStream(k), 3),
     ("ObservationStream(trial)", lambda k, tmp: ObservationStream(0, trial=k), 3),
     ("ObservationStream(dim)", lambda k, tmp: ObservationStream(0, dim=k), 2),
-    ("ObservationStream.take", lambda k, tmp: ObservationStream(0).take(k), 2),
-    ("ObservationStream.take_uniforms", lambda k, tmp: ObservationStream(0).take_uniforms(k), 2),
-    ("ObservationStream.seek", lambda k, tmp: ObservationStream(0).seek(k), 2),
+    ("ObservationStream.take(count)", lambda k, tmp: ObservationStream(0).take(k), 2),
+    ("ObservationStream.take_uniforms(count)",
+     lambda k, tmp: ObservationStream(0).take_uniforms(k), 2),
+    ("ObservationStream.take_words(count)", lambda k, tmp: ObservationStream(0).take_words(k), 2),
+    ("ObservationStream.seek(obs_index)", lambda k, tmp: ObservationStream(0).seek(k), 2),
     ("RegionCorners(d)", lambda k, tmp: frontier.RegionCorners(k), 2),
     ("sweeten(m)", lambda k, tmp: frontier.sweeten([1.0, 1.0], k), 2),
     ("IntegerGridPoint(coords)", lambda k, tmp: frontier.IntegerGridPoint((k, 1)), 2),

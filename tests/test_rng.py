@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from paretorecords import ObservationStream
+from paretorecords.rng import _uniform
 
 # (master_seed, trial, dim, index) -> coordinates
 FROZEN = {
@@ -62,18 +63,27 @@ def test_seek_matches_bulk():
         assert np.array_equal(s.take(1)[0], ref[idx])
 
 
-def _fresh_read(stream, index, count, uniforms):
+# the three reads of a stream, by kind
+READS = {
+    "take": ObservationStream.take,
+    "uniforms": ObservationStream.take_uniforms,
+    "words": ObservationStream.take_words,
+}
+
+
+def _fresh_read(stream, index, count, kind):
     """``count`` observations at ``index`` from a stream built for the read."""
     fresh = ObservationStream(stream.master_seed, stream.trial, stream.dim)
     fresh.seek(index)
-    return fresh.take_uniforms(count) if uniforms else fresh.take(count)
+    return READS[kind](fresh, count)
 
 
-def _checked_read(stream, count, uniforms):
+def _checked_read(stream, count, kind):
     at = stream.index
-    got = stream.take_uniforms(count) if uniforms else stream.take(count)
+    got = READS[kind](stream, count)
     assert got.shape == (count, stream.dim)
-    assert np.array_equal(got, _fresh_read(stream, at, count, uniforms)), (at, count)
+    assert got.dtype == (np.uint64 if kind == "words" else np.float64)
+    assert np.array_equal(got, _fresh_read(stream, at, count, kind)), (at, count)
     assert stream.index == at + count
 
 
@@ -85,17 +95,37 @@ def test_reused_generator_reads_match_fresh_streams(dim):
     for op, arg in [
         ("take", 3), ("uniforms", 0), ("uniforms", 5), ("take", 0), ("take", 1),
         ("seek", None), ("uniforms", 2), ("seek", None), ("take", 4),
-        ("seek", 2), ("take", 3), ("uniforms", 1),  # backwards
-        ("seek", 40), ("uniforms", 6), ("take", 2),  # forwards, past unread slots
-        ("seek", 0), ("uniforms", 0), ("take", 1), ("seek", 41), ("take", 9),
+        ("words", 2), ("uniforms", 1), ("words", 0), ("take", 2),
+        ("seek", 2), ("take", 3), ("uniforms", 1), ("words", 3),  # backwards
+        ("seek", 40), ("uniforms", 6), ("take", 2), ("words", 5),  # forwards, past unread slots
+        ("seek", 0), ("words", 1), ("uniforms", 0), ("take", 1), ("seek", 41), ("take", 9),
         ("index", 7), ("uniforms", 3), ("index", 10), ("take", 2),  # assigned
+        ("index", 3), ("words", 4), ("take", 1),
     ]:
         if op == "seek":
             s.seek(s.index if arg is None else arg)
         elif op == "index":
             s.index = arg
         else:
-            _checked_read(s, arg, op == "uniforms")
+            _checked_read(s, arg, op)
+
+
+def test_words_map_to_the_uniforms_bitwise():
+    # _uniform of a word read is bitwise the uniform read at the same address,
+    # across split reads, seeks, and copies and pickles taken in mid-stream
+    for dim in (1, 2, 3, 4, 5, 8, 9):
+        ref = ObservationStream(606, 2, dim).take_uniforms(60)
+        s = ObservationStream(606, 2, dim)
+        parts = [_uniform(s.take_words(k)) for k in (1, 7, 0, 12, 20)]
+        assert np.vstack(parts).tobytes() == ref[:40].tobytes(), dim
+        for at, k in ((3, 5), (0, 1), (45, 15), (44, 0), (10, 30)):
+            s.seek(at)
+            assert _uniform(s.take_words(k)).tobytes() == ref[at:at + k].tobytes(), (dim, at)
+        s.seek(20)
+        s.take_words(3)
+        for c in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert _uniform(c.take_words(9)).tobytes() == ref[23:32].tobytes(), dim
+        assert _uniform(s.take_words(9)).tobytes() == ref[23:32].tobytes(), dim
 
 
 def test_copies_never_share_bits():
@@ -111,12 +141,12 @@ def test_copies_never_share_bits():
     streams = [s] + copies
     for count in (1, 3, 0, 2, 4):
         for k, stream in enumerate(streams):
-            _checked_read(stream, count + k, k % 2 == 0)
+            _checked_read(stream, count + k, ("uniforms", "take", "words")[k % 3])
     for stream in streams:
         stream.seek(11)
     reads = [stream.take(6) for stream in streams]
     assert all(np.array_equal(r, reads[0]) for r in reads)
-    assert np.array_equal(reads[0], _fresh_read(s, 11, 6, False))
+    assert np.array_equal(reads[0], _fresh_read(s, 11, 6, "take"))
 
 
 def test_fresh_streams_identical():
