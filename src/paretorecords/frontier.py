@@ -19,14 +19,18 @@ The minimum is attained at a minimal point ("corner") of the region, and
 every corner is such a cap vector.  ``RegionCorners`` keeps the corners and
 updates them record by record, in every dimension, the way local upper
 bounds are updated in multiobjective search (Klamroth, Lacour &
-Vanderpooten, EJOR 245, 2015).  Sums are rounded with math.fsum (correctly
-rounded, order independent), which is what makes it agree bitwise with the
-enumeration oracles, not just roughly.
+Vanderpooten, EJOR 245, 2015), checking each candidate against the records
+that define its corner (Dächert, Klamroth, Lacour & Vanderpooten, "Efficient
+computation of the search region in multi-objective optimization", EJOR
+260(3), 2017).  Sums are rounded with math.fsum (correctly rounded, order
+independent), which is what makes it agree bitwise with the enumeration
+oracles, not just roughly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,47 +104,55 @@ class RegionCorners:
     sum of the same coordinates.
 
     ``add(z)`` applies a new record z.  The region loses exactly the points
-    z strictly dominates, so:
+    z strictly dominates, so a corner z does not strictly dominate stays,
+    and stays minimal, because the region only shrinks.  A dead corner c
+    (c < z) is replaced by candidates c^j: c with coordinate j raised to
+    z_j, one per dimension j.  Every new corner is such a candidate: it
+    lies above a dead corner c and blocks z in some coordinate j, so it
+    lies at or above c^j, which is in the new region, and minimality makes
+    the two equal.  Which candidates are corners is read off the records
+    that define c, as local upper bounds are updated by their defining
+    points (Dächert et al., EJOR 260(3), 2017).  A record w defines c in
+    coordinate i if w_i = c_i and w_k > c_k for every k != i.  Where
+    c_i > 0, some record defines c in i, or c could move down in i.
 
-    * a corner z does not strictly dominate stays, and stays minimal,
-      because the region only shrinks;
-    * a dead corner g (g < z) is replaced by candidates: g with coordinate
-      j raised to z_j, one per dimension j.  Every new corner is such a
-      candidate: it lies above a dead corner g and blocks z in some
-      coordinate j, so it lies at or above that candidate, which is in the
-      new region, and minimality makes the two equal.
-    * a candidate is kept unless another point of the new region lies at
-      or below it.  Candidates of different j never do: c' of block k has
-      c'_k = z_k > c_k.  Nor are two candidates of one block equal, since
-      their dead corners would then differ only in coordinate j, and one
-      would dominate the other.  So only distinct candidates of the same
-      block and surviving corners p compete, and a survivor p <= c must
-      tie z in coordinate j (p is not below z), so only survivors with
-      p_j == z_j need checking.  On continuous data that check never runs.
+    * c^j is a corner iff, for each i != j with c_i > 0, some record w
+      defining c in i has w_j > z_j.  Lowering c^j_i by any amount must
+      leave the region, which takes a record w with w_i = c_i and
+      w_k > c^j_k for every k != i: that is such a w, as z_i > c_i rules
+      out z itself.
+    * z is the only record defining c^j in j: any other w with
+      w_j = z_j and w_k > c_k elsewhere would strictly dominate c.
+    * A record killed by a later one never defines a live corner: its
+      killer would strictly dominate that corner.  A record that kills
+      no corner leaves the region as it was.
 
-    Within block j, dead corner a's candidate lies at or below b's iff
-    a_i <= b_i for every i != j.  The corners are an antichain, so two
-    distinct ones each exceed the other somewhere; hence that holds iff a
-    exceeds b in exactly one coordinate, j.  So b's block-j candidate is
-    dropped iff some dead a exceeds b in exactly coordinate j: one
-    (dead, dead, d) comparison serves every block, taken a column chunk
-    at a time so that no temporary holds more than ``_PAIR_ELEMENTS``
-    elements (or one column, dead * d, if that is larger).  A lone dead
-    corner has no rival, so it keeps all d candidates.  New corners
-    are appended block by block, dead corners in their stored order
-    within a block, so ``points``, ``sums`` and ``witness()`` do not
-    depend on how the pruning is computed.
+    So ``_seen`` holds every record that killed a corner, with no
+    deletions; row 0, +inf, stands for the origin's zero coordinates.
+    ``_src`` gives, for each corner coordinate, the row of ``_seen`` it
+    was copied from (row 0 where the coordinate is 0), and c^j inherits
+    the rows of c with column j set to z's.  While no two rows share a
+    value in one coordinate, a record defining c in i must be the one row
+    holding c_i there, the stored one, so the rule is one (dead, d, d)
+    gather and compare.
+    Once a record ties an earlier one, the defining records are looked up
+    among all rows from then on, with a (dead, rows, d) mask.  The rule
+    tests minimality directly, so corners that z leaves alive need no
+    check.  New corners are appended block by block (all c^j for one j),
+    dead corners in their stored order within a block.
 
-    Records killed later need no handling: their killer's lower orthant
-    contains theirs, so the region is the same.  A non-record z kills no
-    corner, so adding it changes nothing.
+    A non-record z kills no corner, so adding it changes nothing.
     """
 
     def __init__(self, d: int):
         d = _as_int(d, "d", 1)
         self.points = np.zeros((1, d))
         self.sums = np.zeros(1)
-        self._raise = np.eye(d, dtype=bool)[:, None, :]  # block j raises x_j
+        self._seen = np.full((1, d), np.inf)
+        self._src = np.zeros((1, d), dtype=np.intp)
+        self._tied = False
+        self._eye = np.eye(d, dtype=bool)
+        self._own = np.diag(np.full(d, -np.inf))  # z + _own: block j skips i = j
 
     @classmethod
     def of(cls, book: RecordBook) -> "RegionCorners":
@@ -162,45 +174,36 @@ class RegionCorners:
 
     def _add_raw(self, z: np.ndarray) -> None:
         # Hot path: caller guarantees z is a validated 1-d float64[d].
-        pts = self.points
+        pts, seen = self.points, self._seen
         dead = (pts < z).all(axis=1)
         gone = dead.nonzero()[0]
         if not gone.size:
             return
-        lost = pts.take(gone, axis=0)
-        cand = np.where(self._raise, z, lost)  # (d, dead, d), block-major
-        cand = cand[~_pruned_blocks(lost)]
+        lost, src = pts.take(gone, axis=0), self._src.take(gone, axis=0)
+        self._tied = self._tied or bool((seen == z).any())
+        # above[c, i, j]: a defining record of c in i exceeds z in j, or i = j;
+        # until two records tie, each stored row is the only defining record
+        above = (_defined_above(seen, lost, z) if self._tied
+                 else seen.take(src, axis=0) > z + self._own)
+        block, row = above.all(axis=1).T.nonzero()  # block-major
+        raised = self._eye[block]  # candidate n raises coordinate block[n]
+        cand = np.where(raised, z, lost.take(row, axis=0))
         live = (~dead).nonzero()[0]  # take() on indices beats a row mask
-        survivors = pts.take(live, axis=0)
-        if (pts == z).any():  # dead corners lie below z, so only survivors tie
-            ties = survivors[(survivors == z).any(axis=1)]
-            covered = (ties[:, None, :] <= cand[None, :, :]).all(axis=2)
-            cand = cand[~covered.any(axis=0)]
-        self.points = np.concatenate((survivors, cand))
-        self.sums = np.concatenate(
-            (self.sums.take(live), [math.fsum(c) for c in cand.tolist()])
-        )
+        self.points = np.concatenate((pts.take(live, axis=0), cand))
+        self.sums = np.concatenate((self.sums.take(live), [math.fsum(c) for c in cand.tolist()]))
+        src = np.where(raised, len(seen), src.take(row, axis=0))
+        self._src = np.concatenate((self._src.take(live, axis=0), src))
+        self._seen = np.concatenate((seen, z[None]))
 
 
-# largest pairwise temporary of one corner update, in elements
-_PAIR_ELEMENTS = 1 << 22
-
-
-def _pruned_blocks(dead: np.ndarray) -> np.ndarray:
-    """(d, k) mask over the blocks' candidates of k >= 1 dead corners: True
-    where some dead corner exceeds this one in exactly that block's
-    coordinate (see RegionCorners)."""
-    k, d = dead.shape
-    # coordinate-major, so every pass below runs over contiguous (k, m) slabs
-    cols = np.ascontiguousarray(dead.T)
-    pruned = np.empty((d, k), dtype=bool)
-    count = np.min_scalar_type(d)  # holds 0..d
-    step = max(1, _PAIR_ELEMENTS // (k * d))
-    for lo in range(0, k, step):
-        gt = cols[:, :, None] > cols[:, None, lo:lo + step]  # a exceeds b in j
-        gt &= gt.sum(axis=0, dtype=count) == 1
-        pruned[:, lo:lo + step] = np.logical_or.reduce(gt, axis=1)
-    return pruned
+def _defined_above(seen: np.ndarray, lost: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(dead, d, d) mask: True at [c, i, j] where some row of ``seen``
+    defines dead corner c in coordinate i and exceeds z in j, or where
+    c_i = 0 or i = j."""
+    over = (seen > lost[:, None, :]).sum(axis=2, dtype=np.min_scalar_type(z.size))
+    defines = (seen == lost[:, None, :]) & (over == z.size - 1)[:, :, None]
+    above = np.matmul(defines.transpose(0, 2, 1), seen > z)
+    return above | (lost == 0.0)[:, :, None] | np.eye(z.size, dtype=bool)
 
 
 # -- enumeration oracles ------------------------------------------------------
@@ -237,11 +240,8 @@ def f_minus_bruteforce(records) -> float:
     cols = recs.T.copy()  # (d, r)
     for lo in range(0, total, chunk):
         ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        digits = np.empty((r, ids.size), dtype=np.int64)
-        q = ids
-        for k in range(r):
-            digits[k] = q % d
-            q = q // d
+        digits = ids // d ** np.arange(r, dtype=np.int64)[:, None]  # base-d digits
+        digits %= d
         # cost_j = max over records assigned to dim j of their j-coordinate
         cost = np.zeros(ids.size, dtype=np.float64)
         permax = np.empty((d, ids.size), dtype=np.float64)
@@ -330,7 +330,9 @@ def lower_bound_probability(n, b, d: int) -> float:
     Upper-bounds the probability that the smallest frontier coordinate sum
     is still <= b after n observations: with m = ceil((d-1) ln n / (ln n - b)),
     returns C(2m, d-1) * exp(-n^((d-1)/(2m))).  Diagnostic overlay only.
-    Refused for d = 1, where the construction behind it degenerates.
+    Where the binomial exceeds the float range the product is taken in log
+    space, so the result is inf only where the bound itself is.  Refused
+    for d = 1, where the construction behind it degenerates.
     """
     d = _as_int(d, "d", 1)
     if d == 1:
@@ -343,5 +345,8 @@ def lower_bound_probability(n, b, d: int) -> float:
     if not 0.0 <= b < log_n:
         raise ValueError(f"b must lie in [0, ln n) = [0, {log_n!r}), got {b!r}")
     m = math.ceil((d - 1) * log_n / (log_n - b))
-    exponent = (d - 1) / (2.0 * m)
-    return math.comb(2 * m, d - 1) * math.exp(-math.exp(exponent * log_n))
+    binom, tail = math.comb(2 * m, d - 1), math.exp((d - 1) / (2.0 * m) * log_n)
+    if binom <= sys.float_info.max:  # int and float compare exactly
+        return binom * math.exp(-tail)
+    log_bound = math.log(binom) - tail  # the product in log space
+    return math.exp(log_bound) if log_bound < math.log(sys.float_info.max) else math.inf

@@ -184,7 +184,9 @@ def assert_same_corners(corners, points, sums):
     assert corners.witness().tobytes() == points[int(np.argmin(sums))].tobytes()
 
 
-@pytest.mark.parametrize("d, n", [(2, 4000), (3, 2500), (4, 600), (5, 220)])
+@pytest.mark.parametrize(
+    "d, n", [(2, 4000), (3, 2500), (4, 600), (5, 220), (6, 70), (8, 22)]
+)
 @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
 def test_region_corners_match_frozen_add(d, n, ties):
     # points scattered about slowly growing simplices x_+ = s: most are
@@ -207,8 +209,10 @@ def test_region_corners_match_frozen_add(d, n, ties):
         corners.add(row)
         points, sums = frozen_region_add(points, sums, row)
         assert_same_corners(corners, points, sums)
-    # the streams do exercise the tie check, and the pairwise rule
-    assert records >= (1500 if d <= 3 else 200)
+    # the streams do exercise ties, and records that kill several corners;
+    # at d >= 6 about a thousand corners die at once, as much as the frozen
+    # (d, dead, dead, d) broadcast can take, so n stays small
+    assert records >= (1500 if d <= 3 else 200 if d <= 5 else n // 2)
     assert (tied if ties else multi) > records // 2
 
 
@@ -222,27 +226,36 @@ def simplex_corners(n, seed, d=5):
 
 
 def test_region_corners_add_memory_is_bounded():
-    # one record above all of > 3000 corners: the all-pairs broadcast
-    # needs d * dead * dead * d bytes (over 300 MB); the chunked rule
-    # stays under a bound fixed in advance
-    corners = simplex_corners(150, seed=3)
-    assert corners.points.shape[0] > 3000
-    z = np.full(5, 2.0)
-    tracemalloc.start()
-    try:
-        corners.add(z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20, peak
-    # the region is now the points with some x_j >= 2: corners 2 e_j
-    assert corners.points.tolist() == (2.0 * np.eye(5)).tolist()
+    # one record above all of > 3000 corners, or above all but one where it
+    # ties the largest record coordinate in x_0: the all-pairs broadcast
+    # needs d * dead * dead * d bytes (over 300 MB); the defining-record
+    # rule, its lookup for ties included, stays under a bound fixed in
+    # advance
+    for tie in (False, True):
+        corners = simplex_corners(150, seed=3)
+        assert corners.points.shape[0] > 3000
+        z = np.full(5, 2.0)
+        if tie:
+            z[0] = corners.points[:, 0].max()
+        tracemalloc.start()
+        try:
+            corners.add(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, (tie, peak)
+        # the region is now the points with x_0 >= z_0 or some x_j >= 2
+        assert corners.points.tolist() == np.diag(z).tolist()
 
 
 def test_region_corners_many_dead_match_frozen_add():
     # about 1000 corners, where the frozen broadcast still fits: kill a
-    # share of them, then all of them
-    for z in (np.full(5, 0.3), np.full(5, 1.0)):
+    # share of them, then all of them, then a share with a z that ties a
+    # record's coordinate, so the lookup for ties runs on them
+    tied = np.full(5, 0.3)  # x_0 moved to the nearest record coordinate
+    x0 = simplex_corners(60, seed=0).points[:, 0]
+    tied[0] = x0[np.argmin(np.abs(x0 - 0.3))]
+    for z in (np.full(5, 0.3), np.full(5, 1.0), tied):
         corners = simplex_corners(60, seed=0)
         points, sums = corners.points, corners.sums
         assert points.shape[0] > 1000
@@ -373,6 +386,22 @@ def test_lower_bound_probability_range_property():
         m = math.ceil((d - 1) * log_n / (log_n - b))
         v = lower_bound_probability(n, b, d)
         assert 0.0 <= v <= math.comb(2 * m, d - 1)
+
+
+def test_lower_bound_probability_past_float_binomial():
+    # C(2m, d-1) beyond the float range: the product is taken in log space,
+    # inf where the bound itself overflows, finite where exp(-n^...) brings
+    # it back into range
+    assert lower_bound_probability(1e6, 13.0, 300) == math.inf
+    assert lower_bound_probability(1e6, math.log(1e6) - 1e-9, 50) == math.inf
+    mp = pytest.importorskip("mpmath")
+    n, b, d = math.exp(40.0), 28.0, 300
+    log_n = math.log(n)
+    m = math.ceil((d - 1) * log_n / (log_n - b))
+    assert math.comb(2 * m, d - 1) > 1e308
+    with mp.workdps(40):
+        expect = mp.binomial(2 * m, d - 1) * mp.exp(-mp.exp(mp.mpf(d - 1) / (2 * m) * log_n))
+    assert lower_bound_probability(n, b, d) == pytest.approx(float(expect), rel=1e-12)
 
 
 def test_lower_bound_probability_errors():
