@@ -44,7 +44,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erfc
 
 from .records import _as_int, _as_real
 
@@ -391,17 +390,23 @@ def sample_y(stream, n: int, d: int) -> float:
 # -- reference distributions ----------------------------------------------------
 
 def gumbel_cdf(x):
-    """Standard Gumbel distribution function exp(-exp(-x))."""
+    """Standard Gumbel distribution function exp(-exp(-x)); silently 0.0
+    where exp(-x) overflows (x < -709.78)."""
     x_arr = np.asarray(x, dtype=np.float64)
-    out = np.exp(-np.exp(-x_arr))
+    with np.errstate(over="ignore"):
+        out = np.exp(-np.exp(-x_arr))
     return float(out) if out.ndim == 0 else out
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def normal_cdf(x):
-    """Standard normal distribution function via erfc."""
+    """Standard normal distribution function 0.5 erfc(-x/sqrt 2), with the
+    C library's erfc applied elementwise."""
     x_arr = np.asarray(x, dtype=np.float64)
-    out = 0.5 * erfc(-x_arr / math.sqrt(2.0))
-    return float(out) if np.ndim(out) == 0 else out
+    out = 0.5 * np.asarray(_erfc(-x_arr / math.sqrt(2.0)), dtype=np.float64)
+    return float(out) if out.ndim == 0 else out
 
 
 # -- centering and scaling sequences ---------------------------------------------

@@ -65,7 +65,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import groupby, islice
@@ -594,9 +593,10 @@ class EnsembleResult:
 def run_ensemble(cfg: ExperimentConfig, out_dir, threads: int = 1) -> EnsembleResult:
     """Run all trials, write row and aggregate CSVs plus a summary JSON.
 
-    ``threads`` is the worker count (processes under the hood); any value
-    yields byte-identical outputs because trials are reduced in trial order
-    and each trial's randomness is addressed, not shared.
+    ``threads`` caps the worker count (processes under the hood): at most
+    one worker per trial starts, and a single worker runs in this process.
+    Any value yields byte-identical outputs because trials are reduced in
+    trial order and each trial's randomness is addressed, not shared.
 
     A directory holding ``summary.json`` holds one complete run: the summary
     is removed first and written last, each file is renamed into place once
@@ -610,11 +610,14 @@ def run_ensemble(cfg: ExperimentConfig, out_dir, threads: int = 1) -> EnsembleRe
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
 
     trials = range(cfg.trials)
-    if threads == 1:
+    workers = min(threads, cfg.trials)
+    if workers == 1:
         per_trial = [run_trial(cfg, t) for t in trials]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunksize = max(1, cfg.trials // (threads * 8))
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for it
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, cfg.trials // (workers * 8))
             per_trial = list(pool.map(run_trial, [cfg] * cfg.trials, trials, chunksize=chunksize))
 
     rows = {clock: [row for trial_rows in per_trial for row in trial_rows if row.clock == clock]

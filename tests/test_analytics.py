@@ -31,6 +31,7 @@ from paretorecords.analytics import (
     tm_centering,
     y_density,
 )
+from paretorecords.harness import ks_statistic
 
 
 # -- record probability ------------------------------------------------------
@@ -441,6 +442,42 @@ def test_reference_cdfs():
     assert gumbel_cdf(-50.0) == 0.0 and gumbel_cdf(50.0) == 1.0
     assert normal_cdf(-50.0) == 0.0 and normal_cdf(50.0) == 1.0
     assert abs(normal_cdf(1.96) - 0.9750021048517795) < 1e-12
+
+
+def test_gumbel_cdf_silent_where_inner_exp_overflows():
+    # exp(-x) overflows below x = -709.78; the cdf is 0 there, with no warning
+    # (the suite turns warnings into errors)
+    assert gumbel_cdf(-800.0) == 0.0
+    assert gumbel_cdf(-np.inf) == 0.0
+    vals = gumbel_cdf(np.array([-800.0, -709.0, 0.0, 1.0]))
+    assert vals.dtype == np.float64 and vals[0] == 0.0
+    assert vals[1:].tolist() == [math.exp(-math.exp(709.0)), math.exp(-1.0),
+                                 math.exp(-math.exp(-1.0))]
+    # the largest gap is the first step, 1/3 above F(-800) = 0
+    assert ks_statistic([-800.0, 0.0, 1.0], "gumbel") == pytest.approx(1.0 / 3.0)
+
+
+def test_normal_cdf_matches_mpmath():
+    """0.5 erfc(-x/sqrt 2) at 40 digits of the exact double x, relative error
+    at most (1 + x^2) 1e-15 wherever the true value is a normal double: the
+    factor allows for the rounding of -x/sqrt 2, which erfc's slope x
+    amplifies by x^2 in the lower tail."""
+    mp = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.linspace(-37.5, 8.3, 4001), [1.96, -1.96, 0.0, -0.0]])
+    got = normal_cdf(xs)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == xs.shape
+    assert normal_cdf(xs.reshape(5, -1)).shape == (5, xs.size // 5)
+    worst = 0.0
+    with mp.workdps(40):
+        for x, value in zip(xs.tolist(), got.tolist()):
+            want = mp.erfc(-mp.mpf(x) / mp.sqrt(2)) / 2
+            scalar = normal_cdf(x)
+            assert type(scalar) is float and scalar == value
+            if want < mp.mpf(2) ** -1022:
+                continue
+            err = float(abs(mp.mpf(value) - want) / want) / (1.0 + x * x)
+            worst = max(worst, err)
+    assert worst <= 1e-15, worst
 
 
 # -- centerings --------------------------------------------------------------------

@@ -19,13 +19,16 @@ from paretorecords.rng import ObservationStream
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv, timeout=None):
+def child_env():
     # the child imports the package from this checkout, installed or not
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+    return dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+
+
+def run_cli(*argv, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "paretorecords.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout)
+        capture_output=True, text=True, env=child_env(), timeout=timeout)
 
 
 def tree_bytes(root: Path) -> dict:
@@ -134,6 +137,35 @@ def test_exact_values_reparse_bit_identical(capsys):
     assert main(["exact", "--op", "fplus-centering", "--n", "1e308", "--d", "1000000"]) == 0
     out = capsys.readouterr().out
     assert '"n": 1e+308' in out and json.loads(out)["n"] == 1e308
+
+
+def test_exact_gumbel_cdf_far_left_is_silent():
+    proc = run_cli("exact", "--op", "gumbel-cdf", "--y", "-800")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["value"] == 0.0
+
+
+def test_one_process_runs_import_no_scipy_or_pool(tmp_path):
+    """A fresh interpreter importing the package, answering an exact query
+    and running a one-trial simulate at the default worker count loads
+    neither scipy nor the process-pool machinery."""
+    script = f"""
+import sys
+import paretorecords
+from paretorecords import cli
+assert cli.main(["exact", "--op", "p-record", "--n", "5", "--d", "3"]) == 0
+assert cli.main(["simulate", "--d", "2", "--n-max", "200", "--trials", "1",
+                 "--out-dir", {str(tmp_path / "out")!r}]) == 0
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("scipy", "multiprocessing")
+             or name == "concurrent.futures.process"))
+"""
+    env = child_env()
+    env.pop("THREADS", None)  # the default: one worker per logical core
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_exact_argument_errors(capsys):
