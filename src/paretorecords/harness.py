@@ -12,12 +12,12 @@ still produce byte-identical output files.  The CSV columns, writer, reader
 and aggregated columns all follow ``CheckpointRow``'s fields in order; each
 file is renamed into place once complete, and ``summary.json`` comes last.
 The rows writer formats each line with one %-format string built from that
-schema (17 significant digits per float, ``csv``'s CRLF line ends); when the
-rows share most of their top sums, as a trial's rows do, it makes one text
-per distinct top sum and joins the stored texts.  The aggregate writer
-takes each (column, key) pair as a lane of finite values and reduces all
-lanes of one length together, along the last axis of one contiguous array,
-which gives bitwise the values of reducing each lane alone.
+schema (17 significant digits per float, ``csv``'s CRLF line ends); a trial's
+rows share most of their top sums, so it makes one text per distinct bit
+pattern of the trial's top sums and joins the stored texts.  The aggregate
+writer takes each (column, key) pair as a lane of finite values and reduces
+all lanes of one length together, along the last axis of one contiguous
+array, which gives bitwise the values of reducing each lane alone.
 
 The engine filters each block of observations before touching the book.
 Stage 1 runs on the stream's raw Philox words, before any float: words,
@@ -234,15 +234,14 @@ def _make_row(cfg: ExperimentConfig, trial: int, clock: str, book: RecordBook, f
     )
 
 
-def _uniform_survivors(u: np.ndarray, floor: float, buf: np.ndarray) -> np.ndarray:
+def _uniform_survivors(u: np.ndarray, floor: float) -> np.ndarray:
     """Indices of the rows of ``u`` whose coordinate sum can reach ``floor``.
 
     ``u`` is a ``(k, d)`` block of stream uniforms, each a multiple of
-    2**-53 in [0, 1), and ``buf`` a ``(2, >= k)`` buffer.  A row is kept
-    when its product ``q = (1 - u_1)...(1 - u_d)``, multiplied column by
-    column, is at most ``exp(slack - floor)`` with ``slack = (d + 2) *
-    2**-44 * (1 + |floor|)``.  Every row is kept when ``floor`` is -inf or
-    at least ``_UNIFORM_FILTER_LIMIT``.
+    2**-53 in [0, 1).  A row is kept when its product ``q = (1 - u_1)...(1
+    - u_d)``, multiplied column by column, is at most ``exp(slack - floor)``
+    with ``slack = (d + 2) * 2**-44 * (1 + |floor|)``.  Every row is kept
+    when ``floor`` is -inf or at least ``_UNIFORM_FILTER_LIMIT``.
 
     No row whose computed sum ``s`` (``coord_sums`` of ``_exponential``) is
     at least ``floor`` is dropped.  Take every rounding, in ``log1p``,
@@ -276,10 +275,9 @@ def _uniform_survivors(u: np.ndarray, floor: float, buf: np.ndarray) -> np.ndarr
     k, d = u.shape
     if not -math.inf < floor < _UNIFORM_FILTER_LIMIT:
         return np.arange(k)
-    q, w = buf[0, :k], buf[1, :k]
-    np.subtract(1.0, u[:, 0], out=q)
+    q = 1.0 - u[:, 0]
     for j in range(1, d):
-        np.multiply(q, np.subtract(1.0, u[:, j], out=w), out=q)
+        q *= 1.0 - u[:, j]
     slack = (d + 2) * 2.0**-44 * (1.0 + abs(floor))
     return np.nonzero(q <= math.exp(slack - floor))[0]
 
@@ -327,19 +325,16 @@ def _word_bound(floor: float, d: int) -> int:
     return k << 11 if k > 0 else 0
 
 
-def _word_survivors(words: np.ndarray, bound: int, buf: np.ndarray) -> np.ndarray:
+def _word_survivors(words: np.ndarray, bound: int) -> np.ndarray:
     """Indices of the rows of ``words`` whose largest used word is at least
-    ``bound`` (``_word_bound``); ``buf`` is ``_uniform_survivors``' buffer."""
-    k, d = words.shape
+    ``bound`` (``_word_bound``)."""
     top = words[:, 0]
-    if d > 1:
-        top = np.maximum(top, words[:, 1], out=buf[0, :k].view(np.uint64))
-        for j in range(2, d):
-            np.maximum(top, words[:, j], out=top)
+    for j in range(1, words.shape[1]):
+        top = np.maximum(top, words[:, j])
     return np.flatnonzero(top >= np.uint64(bound))
 
 
-def _stage1(stream: ObservationStream, take: int, floor: float, buf: np.ndarray) -> tuple:
+def _stage1(stream: ObservationStream, take: int, floor: float) -> tuple:
     """Read the next ``take`` observations of ``stream`` and return the
     block indices of the rows whose sum can reach ``floor``, and their
     uniforms: the word gate, then ``_uniform_survivors`` on the rows it
@@ -348,12 +343,12 @@ def _stage1(stream: ObservationStream, take: int, floor: float, buf: np.ndarray)
     # a row passes the gate with probability at most dim * (1 - bound / 2**64)
     if stream.dim * (2.0**64 - bound) > _WORD_GATE_PASS * 2.0**64:
         u = stream.take_uniforms(take)
-        kept = _uniform_survivors(u, floor, buf)
+        kept = _uniform_survivors(u, floor)
         return kept, u[kept]
     words = stream.take_words(take)
-    gated = _word_survivors(words, bound, buf)
+    gated = _word_survivors(words, bound)
     u = _uniform(words[gated])
-    kept = _uniform_survivors(u, floor, buf)
+    kept = _uniform_survivors(u, floor)
     return gated[kept], u[kept]
 
 
@@ -367,26 +362,26 @@ def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
     advances them in place when it resumes, so read or copy what you need
     before asking for the next state.  The states are identical to feeding
     the trial's stream to a plain book one point at a time, at any ``chunk``.
-    Like any generator, it checks ``trial`` only when first advanced.
+    Once the generator is exhausted, the book stands at ``cfg.n_max``
+    observations when ``cfg.records_time`` is set and at the last grid point
+    otherwise, since no state comes after that point.  Like any generator,
+    it checks ``trial`` only when first advanced.
     """
     trial = _as_int(trial, "trial", 0)
     stream = ObservationStream(cfg.master_seed, trial, cfg.d)
     book = RecordBook(cfg.d, top_capacity=cfg.top_m)
     grid = cfg.grid
     corners = RegionCorners(cfg.d)
-    # stage-1 word maxima and products, reused by every block: past the first
-    # 64 observations a block holds at most as many as were seen before it,
-    # so at most n_max/2
-    buf = np.empty((2, min(chunk, cfg.n_max, max(cfg.n_max // 2, _FIRST_BLOCK))))
+    end = cfg.n_max if cfg.records_time else grid[-1]
     gi = 0
     pos = 0
-    while pos < cfg.n_max:
+    while pos < end:
         target = grid[gi] if gi < len(grid) else cfg.n_max
         take = min(chunk, target - pos, max(pos, _FIRST_BLOCK))
         fmin = corners.value - _SUM_FILTER_MARGIN
         top = book.top_sums
         floor = min(fmin, top[-1] if top.size == cfg.top_m else -math.inf)
-        kept, u = _stage1(stream, take, floor, buf)
+        kept, u = _stage1(stream, take, floor)
         pts = _exponential(u)
         sums = coord_sums(pts)
         cand = np.nonzero(sums >= fmin)[0]
@@ -442,16 +437,16 @@ def _header(top_m: int, strip_check: bool) -> list:
     return cols
 
 
-# The parts of a row's line, in schema order: the %-formats of the fields
-# before bhat and after it, and the getters of those fields and of bhat.  No
-# cell needs quoting: the clock is "obs" or "rec", and every other cell is a
-# number.
+# A row's line, in schema order: its %-format, with one %s for the joined bhat
+# texts, and the getters of the fields before bhat, of bhat and of those after
+# it.  No cell needs quoting: the clock is "obs" or "rec", and every other
+# cell is a number.
 def _row_parts(strip_check: bool) -> tuple:
     schema = _CSV_FIELDS[strip_check]
     cut = next(i for i, (_, kind) in enumerate(schema) if kind is tuple)
     head, tail = schema[:cut], schema[cut + 1:]
-    return ("".join(_CELL[kind] + "," for _, kind in head),
-            "".join("," + _CELL[kind] for _, kind in tail) + _EOL,
+    return (",".join(_CELL[kind] for _, kind in head) + ",%s,"
+            + ",".join(_CELL[kind] for _, kind in tail) + _EOL,
             attrgetter(*(name for name, _ in head)), attrgetter(schema[cut][0]),
             attrgetter(*(name for name, _ in tail)))
 
@@ -472,26 +467,21 @@ def _atomic_open(path: Path):
 
 
 def _write_rows(path: Path, rows: list, cfg: ExperimentConfig) -> None:
-    """Write the rows CSV.  A trial's rows share most of their top sums, and
-    share none with another trial's.  So when the first trial's bhat cells
-    are at most half distinct, each distinct value of the file is formatted
-    once and each row joins the stored texts, provided no cell is zero: 0.0
-    and -0.0 are one key with two texts.  Otherwise each line is one
-    %-format, which is then cheaper."""
-    head_fmt, tail_fmt, head, bhat, tail = _ROW_PARTS[cfg.strip_check]
-    first = list(next(groupby(rows, attrgetter("trial")), (0, ()))[1])
-    shared = 2 * len(set().union(*map(bhat, first))) <= cfg.top_m * len(first)
-    distinct = set().union(*map(bhat, rows)) if shared else ()
-    if shared and 0.0 not in distinct:
-        text = dict(zip(distinct, map("%.17g".__mod__, distinct))).__getitem__
-        fmt = head_fmt + "%s" + tail_fmt
-        lines = (fmt % (*head(row), ",".join(map(text, bhat(row))), *tail(row)) for row in rows)
-    else:
-        fmt = head_fmt + ",".join(["%.17g"] * cfg.top_m) + tail_fmt
-        lines = (fmt % (*head(row), *bhat(row), *tail(row)) for row in rows)
+    """Write the rows CSV.  A trial's rows are contiguous and share most of
+    their top sums, and share none with another trial's.  So each trial's
+    bhat cells are taken as one (rows, top_m) float block, each distinct
+    bit pattern in it is formatted once, and each row joins the stored
+    texts.  Bit patterns keep 0.0 and -0.0 apart and merge equal NaNs."""
+    fmt, head, bhat, tail = _ROW_PARTS[cfg.strip_check]
     with _atomic_open(path) as fh:
         fh.write(",".join(_header(cfg.top_m, cfg.strip_check)) + _EOL)
-        fh.writelines(lines)
+        for _, trial_rows in groupby(rows, attrgetter("trial")):
+            trial_rows = list(trial_rows)
+            block = np.array(list(map(bhat, trial_rows)), dtype=np.float64)
+            bits, index = np.unique(block.view(np.uint64), return_inverse=True)
+            text = list(map("%.17g".__mod__, bits.view(np.float64).tolist())).__getitem__
+            fh.writelines(fmt % (*head(row), ",".join(map(text, at)), *tail(row))
+                          for row, at in zip(trial_rows, index.reshape(block.shape).tolist()))
 
 
 # aggregated: every number a row holds but its trial index, n and the bhat tuple
@@ -554,7 +544,8 @@ def load_rows(path) -> list:
     """Read a rows CSV back into CheckpointRow objects (17g round-trips).
 
     Raises ``ValueError`` naming the file if it is empty, if its header is
-    not the schema's, or if a row does not parse or has the wrong length.
+    not the schema's with at least one bhat column, or if a row does not
+    parse, has the wrong length or a clock other than "obs" or "rec".
     """
     out = []
     with open(path, newline="") as fh:
@@ -563,7 +554,7 @@ def load_rows(path) -> list:
         strip_check = header[-1:] == ["strip_cov"]
         schema = _CSV_FIELDS[strip_check]
         top_m = len(header) - len(schema) + 1
-        if header != _header(top_m, strip_check):
+        if top_m < 1 or header != _header(top_m, strip_check):
             raise ValueError(f"rows file {path} is empty or lacks the CheckpointRow header")
         for rec in reader:
             try:
@@ -572,9 +563,12 @@ def load_rows(path) -> list:
                 cells = iter(rec)
                 values = [tuple(map(float, islice(cells, top_m))) if kind is tuple
                           else kind(next(cells)) for _, kind in schema]
+                row = CheckpointRow(*values)
+                if row.clock not in ("obs", "rec"):
+                    raise ValueError(f"clock {row.clock!r} is neither obs nor rec")
             except ValueError as exc:
                 raise ValueError(f"rows file {path}, line {reader.line_num}: {exc}") from None
-            out.append(CheckpointRow(*values))
+            out.append(row)
     return out
 
 

@@ -348,11 +348,17 @@ def test_analyze_damaged_rows_file(tmp_path, capsys):
                  "--seed", "4", "--threads", "1", "--out-dir", str(run)]) == 0
     capsys.readouterr()
     rows = run / "rows_obs.csv"
-    header, first = rows.read_bytes().splitlines(keepends=True)[:2]
+    whole = rows.read_bytes()
+    header, first = whole.splitlines(keepends=True)[:2]
+    names, cells = header.split(b","), first.split(b",")
+    no_bhat = [i for i, name in enumerate(names) if not name.startswith(b"bhat_")]
     damaged = {
         "empty": b"",
         "truncated": header + first[: len(first) // 2],
         "foreign header": header.replace(b"norm_r", b"norm_q") + first,
+        "no bhat column": b",".join(names[i] for i in no_bhat)
+                          + b",".join(cells[i] for i in no_bhat),
+        "foreign clock": whole.replace(b",obs,", b',"a,b",', 1),
     }
     for case, data in damaged.items():
         rows.write_bytes(data)

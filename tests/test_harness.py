@@ -156,6 +156,17 @@ def test_trajectory_book_is_the_per_point_book():
             assert clocks.count("obs") == len(cfg.grid) and clocks.count("rec") == plain.R
 
 
+def test_trajectory_stops_at_its_last_state():
+    # with no records clock no state comes after the last grid point, so the
+    # engine stops there, not at n_max, and gives the rows of a config
+    # whose n_max is that point
+    cfg = ExperimentConfig(d=2, n_max=10**7, checkpoints=(100,))
+    states = list(harness.trajectory(cfg, 0))
+    assert [(clock, book.n) for clock, book, _ in states] == [("obs", 100)]
+    short = ExperimentConfig(d=2, n_max=100, checkpoints=(100,))
+    assert serialize(run_trial(cfg, 0)) == serialize(run_trial(short, 0))
+
+
 def test_record_sums_derived_bitwise_and_f_plus_is_top_sum():
     # the book derives its record sums from the coordinates: bitwise the sum
     # of each current record taken as a 1-d point, whether the book was fed
@@ -263,7 +274,6 @@ def test_uniform_filter_keeps_every_sum_at_the_floor():
             a *= 1.0 + 0.01 * rng.standard_normal((2000, 1))
             u = np.minimum(np.floor(-np.expm1(-a) * 2.0**53) / 2.0**53, 1.0 - 2.0**-53)
             sums = coord_sums(_exponential(u))
-            buf = np.empty((2, len(u) + 5))
             for s in sums[:25]:
                 floors = [s]
                 for direction in (-math.inf, math.inf):
@@ -273,19 +283,19 @@ def test_uniform_filter_keeps_every_sum_at_the_floor():
                         floors.append(f)
                 for floor in floors:
                     kept = np.zeros(len(u), dtype=bool)
-                    kept[harness._uniform_survivors(u, float(floor), buf)] = True
+                    kept[harness._uniform_survivors(u, float(floor))] = True
                     assert kept[sums >= floor].all(), (d, target, floor)
                     assert not kept[sums < floor - 1e-9 * (1 + floor)].any(), (d, target, floor)
         for floor in (-math.inf, harness._UNIFORM_FILTER_LIMIT, 1e300, math.inf):
-            assert np.array_equal(harness._uniform_survivors(u, floor, buf),
+            assert np.array_equal(harness._uniform_survivors(u, floor),
                                   np.arange(len(u)))
 
 
-def _balanced_row_unit(floor, d, buf):
+def _balanced_row_unit(floor, d):
     """The smallest unit m for which a row with every uniform at m * 2**-53
     passes _uniform_survivors, or None if no such row does."""
     def keeps(m):
-        return harness._uniform_survivors(np.full((1, d), m * 2.0**-53), floor, buf).size == 1
+        return harness._uniform_survivors(np.full((1, d), m * 2.0**-53), floor).size == 1
 
     lo, hi = 0, 2**53 - 1
     if not keeps(hi):
@@ -303,14 +313,13 @@ def test_word_gate_keeps_every_row_the_product_test_keeps():
     # row that _uniform_survivors keeps
     rng = np.random.default_rng(6)
     n = 4000
-    buf = np.empty((2, n))
     for d in range(1, 9):
         for target in (1e-3, 0.5, 13.0, 60.0, 699.0):
             for floor in (np.nextafter(target, -math.inf), target, np.nextafter(target, math.inf)):
                 floor = float(floor)
                 bound = harness._word_bound(floor, d)
                 assert 0 < bound < 2**64, (d, floor)
-                balanced = _balanced_row_unit(floor, d, buf)
+                balanced = _balanced_row_unit(floor, d)
                 for centre in (bound >> 11, balanced):
                     if centre is None:  # no row's sum reaches the floor
                         continue
@@ -322,8 +331,8 @@ def test_word_gate_keeps_every_row_the_product_test_keeps():
                     words = (units << np.uint64(11)) | rng.integers(
                         0, 2**11, size=(n, d), dtype=np.uint64)
                     passed = np.zeros(n, dtype=bool)
-                    passed[harness._word_survivors(words, bound, buf)] = True
-                    kept = harness._uniform_survivors(_uniform(words), floor, buf)
+                    passed[harness._word_survivors(words, bound)] = True
+                    kept = harness._uniform_survivors(_uniform(words), floor)
                     assert passed[kept].all(), (d, floor, centre)
                     if centre == balanced:
                         assert kept.size, (d, floor)  # the check is not vacuous
@@ -333,14 +342,13 @@ def test_word_gate_keeps_every_row_the_product_test_keeps():
         for floor in (-math.inf, -5.0, -0.0, 0.0, 1e-20, harness._UNIFORM_FILTER_LIMIT,
                       1e300, math.inf):
             assert harness._word_bound(floor, d) == 0, (d, floor)
-    assert np.array_equal(harness._word_survivors(words, 0, buf), np.arange(n))
+    assert np.array_equal(harness._word_survivors(words, 0), np.arange(n))
     # on stream words the gate does thin a block out: at d = 2 and floor 13
     # about 2 exp(-6.5), 0.3 %, of the rows pass
     words = ObservationStream(77, 0, 2).take_words(1 << 16)
-    buf = np.empty((2, len(words)))
-    passed = harness._word_survivors(words, harness._word_bound(13.0, 2), buf)
+    passed = harness._word_survivors(words, harness._word_bound(13.0, 2))
     assert passed.size < 0.01 * len(words)
-    assert np.isin(harness._uniform_survivors(_uniform(words), 13.0, buf), passed).all()
+    assert np.isin(harness._uniform_survivors(_uniform(words), 13.0), passed).all()
 
 
 @pytest.fixture
@@ -349,9 +357,9 @@ def gated(monkeypatch):
     sizes = []
     word_survivors = harness._word_survivors
 
-    def counting_gate(words, bound, buf):
+    def counting_gate(words, bound):
         sizes.append(len(words))
-        return word_survivors(words, bound, buf)
+        return word_survivors(words, bound)
 
     monkeypatch.setattr(harness, "_word_survivors", counting_gate)
     return sizes
@@ -362,7 +370,6 @@ def test_stage1_matches_the_uniform_path(gated):
     # floors from none to beyond any sum: the rows kept and their uniforms
     # are bitwise those of the product test on the whole block of uniforms,
     # and the stream stands where a uniform read leaves it
-    buf = np.empty((2, 20000))
     for d in (1, 2, 3, 5):
         for take in (harness._WORD_GATE_BLOCK - 1, harness._WORD_GATE_BLOCK, 20000):
             for floor in (-math.inf, 0.0, 2.0, 6.0, 9.0, 13.0, 25.0, 60.0,
@@ -370,9 +377,9 @@ def test_stage1_matches_the_uniform_path(gated):
                 stream, ref = ObservationStream(88, d, d), ObservationStream(88, d, d)
                 stream.seek(1000)
                 ref.seek(1000)
-                kept, u = harness._stage1(stream, take, floor, buf)
+                kept, u = harness._stage1(stream, take, floor)
                 whole = ref.take_uniforms(take)
-                want = harness._uniform_survivors(whole, floor, buf)
+                want = harness._uniform_survivors(whole, floor)
                 assert np.array_equal(kept, want), (d, take, floor)
                 assert u.tobytes() == whole[want].tobytes(), (d, take, floor)
                 assert stream.index == ref.index
