@@ -55,30 +55,15 @@ def _load_config(args) -> ExperimentConfig:
         unknown = set(base) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "checkpoints" in base and base["checkpoints"] is not None:
-            base["checkpoints"] = tuple(base["checkpoints"])
-    # flags win over file values
-    overrides = {
-        "d": args.d,
-        "n_max": args.n_max,
-        "trials": args.trials,
-        "master_seed": args.seed,
-        "top_m": args.top_m,
-        "checkpoint_ratio": args.checkpoint_ratio,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            base[key] = val
+    # flags given win over file values; each flag's dest is its config field
+    base.update((key, val) for key, val in vars(args).items()
+                if key in _CONFIG_KEYS and val is not None)
     if args.checkpoints is not None:
         try:
             base["checkpoints"] = tuple(int(c) for c in args.checkpoints.split(",") if c)
         except ValueError:
             raise ValueError("--checkpoints must be comma-separated integers, "
                              f"got {args.checkpoints!r}") from None
-    if args.records_time:
-        base["records_time"] = True
-    if args.strip_check:
-        base["strip_check"] = True
     missing = {"d", "n_max"} - set(base)
     if missing:
         raise ValueError(f"config is missing required keys: {sorted(missing)}")
@@ -463,12 +448,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--d", type=int)
     sim.add_argument("--n-max", type=int)
     sim.add_argument("--trials", type=int)
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
     sim.add_argument("--top-m", type=int)
     sim.add_argument("--checkpoints", help="comma-separated explicit grid")
     sim.add_argument("--checkpoint-ratio", type=float)
-    sim.add_argument("--records-time", action="store_true")
-    sim.add_argument("--strip-check", action="store_true")
+    # absent, a switch leaves the config file's value alone
+    sim.add_argument("--records-time", action="store_const", const=True)
+    sim.add_argument("--strip-check", action="store_const", const=True)
     sim.add_argument("--out-dir", required=True)
     sim.add_argument("--threads", type=int)
     sim.set_defaults(fn=_cmd_simulate)

@@ -33,10 +33,9 @@ passes every row the product test keeps.  Only the rows it passes are
 turned into uniforms (``rng._uniform``), and one product per row
 (``_uniform_survivors``, whose proof shows that no point whose computed
 sum reaches the floor is dropped; every ``1 - u_j`` is exact) keeps the
-points whose sum can reach the floor.  Where there is no floor, on blocks
-of fewer than ``_WORD_GATE_BLOCK`` observations, and where the gate may
-pass more than a ``_WORD_GATE_PASS`` share of the rows, the block is read
-as uniforms whole and goes straight to the product test.  Only
+points whose sum can reach the floor.  Where there is no floor, and where
+the gate may pass more than a ``_WORD_GATE_PASS`` share of the rows, the
+block is read as uniforms whole and goes straight to the product test.  Only
 survivors are mapped to coordinates and summed; the maps are elementwise
 and the sums are row-wise, so they get bitwise the values a full-block
 transform gives.  Of them,
@@ -49,9 +48,9 @@ by one, and the skipped runs are absorbed in bulk (their count and their
 surviving sums, which hold every sum that can enter the top sums; the
 per-coordinate maxima are read off the records, which hold them).  Blocks
 hold at most as many observations as were seen before them (at least 64),
-so they double up to the chunk size and the filters work against recent
+so they double up to ``_CHUNK`` and the filters work against recent
 records early on, when records are frequent.  Net effect: identical books
-and rows at any block size, with the exponential map and the sums paid
+and rows at any ``_CHUNK``, with the exponential map and the sums paid
 only by the few points that can matter, and most words never converted.
 
 The smallest frontier sum comes from the corners of the record-setting
@@ -100,14 +99,14 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-_FIRST_BLOCK = 64  # blocks start this small and double up to the chunk size
+_FIRST_BLOCK = 64  # blocks start this small and double up to _CHUNK
 _SUM_FILTER_MARGIN = 1e-9  # dwarfs rounding error in any realistic sum
 _UNIFORM_FILTER_LIMIT = 700.0  # exp(-700) is a normal double; see _uniform_survivors
-# The word gate pays on blocks of at least _WORD_GATE_BLOCK observations
-# that it thins to at most a _WORD_GATE_PASS share; elsewhere its fixed cost,
-# or mapping what it passes, outweighs the conversions it saves
-# (BENCH_word_gate.json, per_block and pass_sweep).
-_WORD_GATE_BLOCK = 4096
+# The word gate pays on blocks it thins to at most a _WORD_GATE_PASS share;
+# above that, mapping what it passes outweighs the conversions it saves
+# (BENCH_word_gate.json, pass_sweep).  Under about 1500 rows its fixed cost
+# exceeds its saving, by at most some 10 us a block, but a floor that high
+# seldom meets a block that small (BENCH_engine_inputs.json, per_block).
 _WORD_GATE_PASS = 0.05
 _MAX_GRID_STEPS = 10**5  # far more checkpoints than any grid needs
 
@@ -339,7 +338,7 @@ def _stage1(stream: ObservationStream, take: int, floor: float) -> tuple:
     block indices of the rows whose sum can reach ``floor``, and their
     uniforms: the word gate, then ``_uniform_survivors`` on the rows it
     passes, or on the whole block where the gate does not pay."""
-    bound = _word_bound(floor, stream.dim) if take >= _WORD_GATE_BLOCK else 0
+    bound = _word_bound(floor, stream.dim)
     # a row passes the gate with probability at most dim * (1 - bound / 2**64)
     if stream.dim * (2.0**64 - bound) > _WORD_GATE_PASS * 2.0**64:
         u = stream.take_uniforms(take)
@@ -352,7 +351,7 @@ def _stage1(stream: ObservationStream, take: int, floor: float) -> tuple:
     return gated[kept], u[kept]
 
 
-def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
+def trajectory(cfg: ExperimentConfig, trial: int):
     """Run one trial through the filtered engine, yielding its states.
 
     Yields ``(clock, book, corners)``: ``("rec", ...)`` after each record
@@ -361,7 +360,7 @@ def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
     RegionCorners (``corners.value`` is F-).  Both are live: the generator
     advances them in place when it resumes, so read or copy what you need
     before asking for the next state.  The states are identical to feeding
-    the trial's stream to a plain book one point at a time, at any ``chunk``.
+    the trial's stream to a plain book one point at a time, at any ``_CHUNK``.
     Once the generator is exhausted, the book stands at ``cfg.n_max``
     observations when ``cfg.records_time`` is set and at the last grid point
     otherwise, since no state comes after that point.  Like any generator,
@@ -377,7 +376,7 @@ def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
     pos = 0
     while pos < end:
         target = grid[gi] if gi < len(grid) else cfg.n_max
-        take = min(chunk, target - pos, max(pos, _FIRST_BLOCK))
+        take = min(_CHUNK, target - pos, max(pos, _FIRST_BLOCK))
         fmin = corners.value - _SUM_FILTER_MARGIN
         top = book.top_sums
         floor = min(fmin, top[-1] if top.size == cfg.top_m else -math.inf)
@@ -405,11 +404,11 @@ def trajectory(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK):
             gi += 1
 
 
-def _simulate(cfg: ExperimentConfig, trial: int, chunk: int = _CHUNK) -> list:
+def _simulate(cfg: ExperimentConfig, trial: int) -> list:
     # trajectory has checked trial before the first row, so int() only
     # turns a numpy integer into the plain int the rows hold
     return [_make_row(cfg, int(trial), clock, book, corners.value)
-            for clock, book, corners in trajectory(cfg, trial, chunk)]
+            for clock, book, corners in trajectory(cfg, trial)]
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:
@@ -729,46 +728,37 @@ class LilReport:
         return "\n".join(lines) if lines else "(empty trajectory: no report)"
 
 
+def _dyadic_windows(rows, clock: str, size: str, least: int, series: dict) -> list:
+    """Windows of the ``clock`` rows whose ``size`` field (n or m) is at
+    least ``least``, by that field; ``series`` maps each name to its value
+    on a row and its running extreme (``max`` or ``min``).  Each window
+    holds the least and greatest value of each series and its extreme over
+    this and every earlier window."""
+    # window k holds [2**k, 2**(k+1)); bit_length is exact where log2 rounds
+    picked = sorted((r for r in rows if r.clock == clock and getattr(r, size) >= least),
+                    key=attrgetter(size))
+    windows, run = [], {}
+    for k, group in groupby(picked, key=lambda r: getattr(r, size).bit_length() - 1):
+        group = list(group)
+        window = {"lo": 2**k, "hi": 2 ** (k + 1), "count": len(group)}
+        for name, (value, extreme) in series.items():
+            vals = [value(r) for r in group]
+            run[name] = extreme(run.get(name, vals[0]), *vals)
+            window.update({f"{name}_min": min(vals), f"{name}_max": max(vals),
+                           f"run_{name}_{extreme.__name__}": run[name]})
+        windows.append(window)
+    return windows
+
+
 def lil_diagnostics(rows) -> LilReport:
     """Boundary-law diagnostics over dyadic windows of a trajectory."""
-    # window k holds [2**k, 2**(k+1)); bit_length is exact where log2 rounds
-    obs = sorted((r for r in rows if r.clock == "obs" and r.n >= 3), key=attrgetter("n"))
-    rec = sorted((r for r in rows if r.clock == "rec" and r.m >= 2), key=attrgetter("m"))
-    obs_windows = []
-    run_max, run_min = -math.inf, math.inf
-    for k, group in groupby(obs, key=lambda r: r.n.bit_length() - 1):
-        group = list(group)
-        fplus_dev = [(r.f_plus - math.log(r.n)) / math.log(math.log(r.n)) for r in group]
-        fminus_dev = [(r.f_minus - math.log(r.n)) / math.log(math.log(r.n)) for r in group]
-        run_max = max(run_max, max(fplus_dev))
-        run_min = min(run_min, min(fminus_dev))
-        obs_windows.append(
-            {
-                "lo": 2**k,
-                "hi": 2 ** (k + 1),
-                "count": len(group),
-                "fplus_min": min(fplus_dev),
-                "fplus_max": max(fplus_dev),
-                "run_fplus_max": run_max,
-                "fminus_min": min(fminus_dev),
-                "fminus_max": max(fminus_dev),
-                "run_fminus_min": run_min,
-            }
-        )
-    rec_windows = []
-    run_ratio = -math.inf
-    for k, group in groupby(rec, key=lambda r: r.m.bit_length() - 1):
-        group = list(group)
-        ratios = [r.width / math.log(r.m) for r in group]
-        run_ratio = max(run_ratio, max(ratios))
-        rec_windows.append(
-            {
-                "lo": 2**k,
-                "hi": 2 ** (k + 1),
-                "count": len(group),
-                "ratio_min": min(ratios),
-                "ratio_max": max(ratios),
-                "run_ratio_max": run_ratio,
-            }
-        )
-    return LilReport(obs_windows=obs_windows, rec_windows=rec_windows)
+    def dev(r, f):  # (F - ln n) / ln ln n
+        return (f - math.log(r.n)) / math.log(math.log(r.n))
+
+    return LilReport(
+        obs_windows=_dyadic_windows(rows, "obs", "n", 3, {
+            "fplus": (lambda r: dev(r, r.f_plus), max),
+            "fminus": (lambda r: dev(r, r.f_minus), min)}),
+        rec_windows=_dyadic_windows(rows, "rec", "m", 2, {
+            "ratio": (lambda r: r.width / math.log(r.m), max)}),
+    )

@@ -104,6 +104,21 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out4")]) == 3
 
 
+def test_config_file_switches_stay_on_without_flags(tmp_path, capsys):
+    # an absent --records-time or --strip-check leaves the file's true alone,
+    # and --seed sets master_seed over the file's
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"d": 2, "n_max": 200, "master_seed": 7,
+                                    "records_time": True, "strip_check": True}))
+    for extra, seed in (([], 7), (["--seed", "9"], 9)):
+        out = tmp_path / f"out{seed}"
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out), *extra]) == 0
+        capsys.readouterr()
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["records_time"] is config["strip_check"] is True
+        assert config["master_seed"] == seed
+
+
 def test_checkpoints_flag_not_integers_exits_2(tmp_path, capsys):
     for grid in ("a,100", "1.5,100"):
         assert main(["simulate", "--d", "2", "--n-max", "100", "--checkpoints", grid,

@@ -124,30 +124,42 @@ def test_config_validation(tmp_path):
         run_ensemble(ExperimentConfig(d=2, n_max=10), tmp_path, threads=True)
 
 
-def test_trial_determinism_and_chunk_invariance():
+def test_trial_determinism_and_chunk_invariance(monkeypatch):
     cfg = ExperimentConfig(d=3, n_max=3000, master_seed=11,
                            records_time=True, strip_check=True, top_m=6)
     base = serialize(run_trial(cfg, 2))
     assert serialize(run_trial(cfg, 2)) == base
-    assert serialize(_simulate(cfg, 2, chunk=17)) == base
-    assert serialize(_simulate(cfg, 2, chunk=257)) == base
-    assert serialize(_simulate(cfg, 2, chunk=1 << 16)) == base
+    takes = []
+    stage1 = harness._stage1
+
+    def recording_stage1(stream, take, floor):
+        takes.append(take)
+        return stage1(stream, take, floor)
+
+    monkeypatch.setattr(harness, "_stage1", recording_stage1)
+    for chunk in (1, 17, 257, 1 << 16):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        takes.clear()
+        assert serialize(_simulate(cfg, 2)) == base, chunk
+        assert max(takes) <= chunk  # the engine reads its block cap when it runs
+    monkeypatch.undo()
     # a different trial index gives a different trajectory
     assert serialize(run_trial(cfg, 3)) != base
 
 
-def test_trajectory_book_is_the_per_point_book():
+def test_trajectory_book_is_the_per_point_book(monkeypatch):
     # the engine's filters are exact: at every state it yields, its book
     # (record coordinates included) is the book fed the same stream one point
     # at a time, up to the same n
     for d in (1, 2, 3, 4):
         cfg = ExperimentConfig(d=d, n_max=2000, master_seed=31 + d,
                                records_time=True, top_m=5)
-        for chunk in (17, harness._CHUNK):
+        for chunk in (1, 17, 1 << 16):
+            monkeypatch.setattr(harness, "_CHUNK", chunk)
             stream = ObservationStream(cfg.master_seed, 2, d)
             plain = RecordBook(d, top_capacity=cfg.top_m)
             clocks = []
-            for clock, book, _ in harness.trajectory(cfg, 2, chunk):
+            for clock, book, _ in harness.trajectory(cfg, 2):
                 for row in stream.take(book.n - plain.n):
                     plain.observe(row)
                 assert book.state_equals(plain), (d, chunk, clock, book.n)
@@ -249,8 +261,9 @@ def test_trajectory_matches_frozen_full_block_engine(d, n_max, monkeypatch):
         for records_time in (False, True):
             cfg = ExperimentConfig(d=d, n_max=n_max, master_seed=50 + d, top_m=top_m,
                                    records_time=records_time)
-            for chunk in (17, harness._CHUNK):
-                states = itertools.zip_longest(harness.trajectory(cfg, 1, chunk),
+            for chunk in (17, 1 << 16):
+                monkeypatch.setattr(harness, "_CHUNK", chunk)
+                states = itertools.zip_longest(harness.trajectory(cfg, 1),
                                                _frozen_full_block_trajectory(cfg, 1, chunk),
                                                fillvalue=(None, None, None))
                 for (clock, book, corners), (ref_clock, ref, ref_corners) in states:
@@ -366,12 +379,12 @@ def gated(monkeypatch):
 
 
 def test_stage1_matches_the_uniform_path(gated):
-    # stage 1 on stream blocks below, at and above the gate's size, with
-    # floors from none to beyond any sum: the rows kept and their uniforms
-    # are bitwise those of the product test on the whole block of uniforms,
-    # and the stream stands where a uniform read leaves it
+    # stage 1 on stream blocks of several sizes, with floors from none to
+    # beyond any sum: the rows kept and their uniforms are bitwise those of
+    # the product test on the whole block of uniforms, and the stream stands
+    # where a uniform read leaves it
     for d in (1, 2, 3, 5):
-        for take in (harness._WORD_GATE_BLOCK - 1, harness._WORD_GATE_BLOCK, 20000):
+        for take in (4095, 4096, 20000):
             for floor in (-math.inf, 0.0, 2.0, 6.0, 9.0, 13.0, 25.0, 60.0,
                           harness._UNIFORM_FILTER_LIMIT):
                 stream, ref = ObservationStream(88, d, d), ObservationStream(88, d, d)
@@ -383,7 +396,8 @@ def test_stage1_matches_the_uniform_path(gated):
                 assert np.array_equal(kept, want), (d, take, floor)
                 assert u.tobytes() == whole[want].tobytes(), (d, take, floor)
                 assert stream.index == ref.index
-    assert gated and min(gated) == harness._WORD_GATE_BLOCK
+    # the gate reads a block wherever its bound pays, whatever the block's size
+    assert gated.count(4095) == gated.count(4096) == gated.count(20000) > 0
 
 
 @pytest.mark.parametrize("d", (1, 2))
