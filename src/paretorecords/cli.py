@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, records
+from . import analytics
 from .frontier import f_minus, f_plus, f_minus_bruteforce
 from .harness import (
     ExperimentConfig,
@@ -299,24 +299,16 @@ _SUITES = [
 
 
 def _cmd_selftest(args) -> int:
-    strict_gt = records._strict_gt
-    if args.inject_fault:
-        # break tie handling (> becomes >=) in every incremental dominance
-        # test; generic random data still passes, crafted ties must not
-        records._strict_gt = lambda x, y: x >= y
     failures = []
-    try:
-        print(f"{'suite':24s} {'result':8s} seconds")
-        for name, fn in _SUITES:
-            t0 = time.perf_counter()
-            detail = fn()
-            dt = time.perf_counter() - t0
-            status = "ok" if detail is None else "FAIL"
-            print(f"{name:24s} {status:8s} {dt:7.2f}")
-            if detail is not None:
-                failures.append((name, detail))
-    finally:
-        records._strict_gt = strict_gt
+    print(f"{'suite':24s} {'result':8s} seconds")
+    for name, fn in _SUITES:
+        t0 = time.perf_counter()
+        detail = fn()
+        dt = time.perf_counter() - t0
+        status = "ok" if detail is None else "FAIL"
+        print(f"{name:24s} {status:8s} {dt:7.2f}")
+        if detail is not None:
+            failures.append((name, detail))
     if failures:
         for name, detail in failures:
             print(f"FAIL {name}: {detail}", file=sys.stderr)
@@ -477,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exa.set_defaults(fn=_cmd_exact)
 
     st = sub.add_parser("selftest", help="run reduced oracle and identity suites")
-    st.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     st.set_defaults(fn=_cmd_selftest)
 
     ren = sub.add_parser("render", help="draw a d=2 record frontier as SVG")

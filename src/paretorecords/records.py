@@ -117,14 +117,7 @@ _RECORD = ObserveOutcome(True, 0)
 def strictly_dominates(a, b) -> bool:
     """True iff ``a`` strictly dominates ``b`` (every coordinate larger)."""
     ca = _as_coords(a)
-    return bool(np.all(_strict_gt(ca, _as_coords(b, ca.size))))
-
-
-def _strict_gt(x, y):
-    # Elementwise strict comparison used by every incremental dominance test.
-    # Looked up by module name at each call, so the selftest can swap in a
-    # broken version; the rebuild oracle has its own comparison.
-    return x > y
+    return bool(np.all(ca > _as_coords(b, ca.size)))
 
 
 class RecordBook:
@@ -216,9 +209,9 @@ class RecordBook:
         self.n += 1
         self._merge_top(np.array((s,)))
         recs = self._coords
-        if _strict_gt(recs, coords).all(axis=1).any():
+        if (recs > coords).all(axis=1).any():
             return _NOT_RECORD
-        killed = _strict_gt(coords, recs).all(axis=1)
+        killed = (coords > recs).all(axis=1)
         kills = int(np.count_nonzero(killed))
         if kills:
             recs = recs[~killed]
@@ -258,7 +251,7 @@ class RecordBook:
             return np.zeros(pts.shape[0], dtype=bool)
         recs = self._coords
         # (r, k, d) broadcast; r stays small so this is cheap
-        return np.any(np.all(_strict_gt(recs[:, None, :], pts[None, :, :]), axis=2), axis=0)
+        return np.any(np.all(recs[:, None, :] > pts[None, :, :], axis=2), axis=0)
 
     # -- internals --------------------------------------------------------
 

@@ -211,14 +211,6 @@ def test_selftest_clean(capsys):
     assert "FAIL" not in out
 
 
-def test_selftest_fault_injection_flag(capsys):
-    strict_gt = records._strict_gt
-    assert main(["selftest", "--inject-fault"]) == 1
-    captured = capsys.readouterr()
-    assert "record-dominance" in captured.err  # failing suite named on stderr
-    assert records._strict_gt is strict_gt  # original comparison restored
-
-
 def segment_counts(points_attr):
     pts = [tuple(float(v) for v in tok.split(",")) for tok in points_attr.split()]
     horiz = sum(1 for a, b in zip(pts, pts[1:]) if a[1] == b[1])

@@ -14,6 +14,7 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretorecords import harness
 from paretorecords.analytics import (
@@ -35,7 +36,7 @@ from paretorecords.harness import (
     strip_coverage,
 )
 from paretorecords.frontier import RegionCorners
-from paretorecords.records import RecordBook, coord_sums
+from paretorecords.records import RecordBook, coord_sums, rebuild_oracle
 from paretorecords.rng import ObservationStream, _exponential, _uniform
 
 
@@ -166,6 +167,129 @@ def test_trajectory_book_is_the_per_point_book(monkeypatch):
                 clocks.append(clock)
             assert plain.n == cfg.n_max
             assert clocks.count("obs") == len(cfg.grid) and clocks.count("rec") == plain.R
+
+
+def assert_per_point_book(cfg, trial, coords):
+    """Every state ``trajectory(cfg, trial)`` yields is the book fed
+    ``coords`` (the trial's stream) one point at a time, and its F- is that
+    book's; returns the per-point book and the clocks of the states."""
+    plain = RecordBook(cfg.d, top_capacity=cfg.top_m)
+    clocks = []
+    for clock, book, corners in harness.trajectory(cfg, trial):
+        for row in coords[plain.n:book.n]:
+            plain.observe(row)
+        assert book.state_equals(plain), (clock, book.n)
+        assert corners.value == f_minus(plain), (clock, book.n)
+        clocks.append(clock)
+    return plain, clocks
+
+
+class CraftedStream:
+    """Stands in for a trial's ObservationStream: serves the rows of a
+    (n, d) uint64 array in order, as raw words or as their uniforms."""
+
+    def __init__(self, words):
+        self.words, self.dim, self.index = words, words.shape[1], 0
+
+    def take_words(self, count):
+        out = self.words[self.index:self.index + count]
+        self.index += count
+        return out
+
+    def take_uniforms(self, count):
+        return _uniform(self.take_words(count))
+
+
+def test_record_just_above_f_minus_is_kept(monkeypatch):
+    # a d=2 stream whose record C lies a few ulp above the corner attaining
+    # F-, well inside the sum filter's margin: the engine keeps it, so every
+    # state is the per-point book's
+    n = 200
+    k = lambda x: int(-math.expm1(-x) * 2.0**53)  # uniform index of coordinate ~x
+    words = np.zeros((n, 2), dtype=np.uint64)  # the origin: dominated by A
+    words[0] = k(1.0), k(5.0)  # A
+    words[1] = k(5.0), k(1.0)  # B: F- is the corner (A_1, B_2), sum about 2
+    words[100] = k(1.0) + 1, k(1.0) + 1  # C: above that corner in both
+    words <<= np.uint64(11)
+    coords = _exponential(_uniform(words))
+    s = float(coord_sums(coords[100]))
+    fmin = f_minus(rebuild_oracle(coords[:2]))
+    assert 0.0 < s - fmin < abs(harness._SUM_FILTER_MARGIN)
+    monkeypatch.setattr(harness, "ObservationStream",
+                        lambda master_seed, trial, dim: CraftedStream(words))
+    for chunk in (1, 17, 1 << 16):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        for records_time in (False, True):
+            cfg = ExperimentConfig(d=2, n_max=n, checkpoints=(50, 99, 100, 101, n),
+                                   records_time=records_time)
+            plain, _ = assert_per_point_book(cfg, 0, coords)
+            assert plain.R == 3 and plain.epochs[-1] == 101  # C is a record
+
+
+def test_corner_count_is_linear_in_general_position():
+    # on stream data (ties have probability 0) the region has (d-1) r + 1
+    # corners after every record, the count of local upper bounds for
+    # d = 2, 3 (Daechert & Klamroth, J. Global Optim. 61, 2015)
+    for d in (2, 3):
+        cfg = ExperimentConfig(d=d, n_max=10**4, master_seed=90 + d,
+                               checkpoints=(10**4,), records_time=True)
+        states = 0
+        for trial in range(20):
+            for clock, book, corners in harness.trajectory(cfg, trial):
+                assert corners.points.shape[0] == (d - 1) * book.r + 1, (d, trial, book.n)
+                states += clock == "rec"
+        assert states > 20 * d ** 2
+
+
+def test_second_record_time_law():
+    # R_n = 1 iff the first point strictly dominates the n - 1 after it,
+    # so P(T_2 > n) = n^-d exactly; binomial z-scores over 2000 trials,
+    # bound fixed before the first run
+    trials, n_max = 2000, 30
+    for d in (1, 2, 3):
+        cfg = ExperimentConfig(d=d, n_max=n_max, master_seed=2026 + d,
+                               checkpoints=(n_max,), records_time=True)
+        t2 = []
+        for trial in range(trials):
+            second = (book.n for clock, book, _ in harness.trajectory(cfg, trial)
+                      if clock == "rec" and book.R == 2)
+            t2.append(next(second, n_max + 1))
+        t2 = np.array(t2)
+        for n in (2, 3, 5, 10):
+            p = float(n) ** -d
+            z = (np.count_nonzero(t2 > n) - trials * p) / math.sqrt(trials * p * (1 - p))
+            print(f"P(T_2 > {n}), d={d}: z = {z:+.2f} (bound 4)")
+            assert abs(z) <= 4.0, (d, n, z)
+
+
+# n_max per d keeps every example short: corners multiply steeply with d
+_PROPERTY_N_MAX = {1: 3000, 2: 3000, 3: 3000, 4: 1000, 5: 400, 6: 150}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_trajectory_is_the_per_point_book_on_random_configs(data):
+    d = data.draw(st.integers(1, 6), label="d")
+    n_max = data.draw(st.integers(1, _PROPERTY_N_MAX[d]), label="n_max")
+    checkpoints = data.draw(st.none() | st.lists(st.integers(1, n_max), min_size=1,
+                                                 max_size=8), label="checkpoints")
+    cfg = ExperimentConfig(
+        d=d, n_max=n_max, checkpoints=checkpoints,
+        master_seed=data.draw(st.integers(0, 2**64 - 1), label="master_seed"),
+        top_m=data.draw(st.integers(1, 70), label="top_m"),
+        records_time=data.draw(st.booleans(), label="records_time"))
+    trial = data.draw(st.integers(0, 2**20), label="trial")
+    chunk = data.draw(st.sampled_from((1, 17, 64, 1 << 16)), label="chunk")
+    default = harness._CHUNK
+    harness._CHUNK = chunk
+    try:
+        coords = ObservationStream(cfg.master_seed, trial, d).take(n_max)
+        plain, clocks = assert_per_point_book(cfg, trial, coords)
+    finally:
+        harness._CHUNK = default
+    # one state per grid point, and per record on the records clock
+    assert clocks.count("obs") == len(cfg.grid)
+    assert clocks.count("rec") == (plain.R if cfg.records_time else 0)
 
 
 def test_trajectory_stops_at_its_last_state():

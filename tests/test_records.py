@@ -293,6 +293,25 @@ def test_dominated_by_current_matches_observe():
         assert fresh.observe(row).is_record == (not dominated)
 
 
+def test_dominated_by_current_leaves_tied_points():
+    # integer coordinates, so many probes tie a record in some coordinate:
+    # the engine's stage-2 mask marks a probe only where some record is
+    # strictly larger in every coordinate
+    rng = np.random.default_rng(32)
+    for d in (1, 2, 3):
+        book = RecordBook(d)
+        for row in rng.integers(0, 6, size=(40, d)).astype(float):
+            book.observe(row)
+        probe = np.array(list(np.ndindex(*(7,) * d)), dtype=float)
+        mask = book.dominated_by_current(probe)
+        recs = book.record_coords
+        want = [any((rec > row).all() for rec in recs) for row in probe]
+        assert mask.tolist() == want, d
+        # some probe is weakly below a record, ties it, and is not dominated
+        assert any((rec >= row).all() and (rec == row).any() and not dom
+                   for row, dom in zip(probe, mask) for rec in recs), d
+
+
 def test_monte_carlo_harmonic_mean():
     # d=1: E[#records among n] is the harmonic number; left-to-right maxima
     # counted directly in numpy as the independent reference
