@@ -17,7 +17,7 @@ the per-dimension maxima of the blocked coordinates.  So
 
 The minimum is attained at a minimal point ("corner") of the region, and
 every corner is such a cap vector.  ``RegionCorners`` keeps the corners and
-updates them record by record, in every dimension, the way local upper
+updates them one record at a time, in every dimension, the way local upper
 bounds are updated in multiobjective search (Klamroth, Lacour &
 Vanderpooten, EJOR 245, 2015), checking each candidate against the records
 that define its corner (Dächert, Klamroth, Lacour & Vanderpooten, "Efficient
@@ -92,7 +92,7 @@ def f_minus(book: RecordBook) -> float:
 
 class RegionCorners:
     """The minimal points ("corners") of the record-setting region, kept
-    up to date record by record.
+    up to date one record at a time.
 
     ``points`` holds the corners as a (k, d) array and ``sums`` their
     coordinate sums rounded with math.fsum.  With no records the region is
@@ -142,6 +142,13 @@ class RegionCorners:
     dead corners in their stored order within a block.
 
     A non-record z kills no corner, so adding it changes nothing.
+
+    By the third fact, a caller may skip any record that a later one
+    kills: adding the others, in the order they were set, gives the same
+    corner set and so a bitwise-equal ``value``.  The corners' order, and
+    so ``witness()`` among corners with tied sums, depends on what was
+    added.  The trial engine adds, after each of its segments, only the
+    records still current at the segment's end.
     """
 
     def __init__(self, d: int):

@@ -14,10 +14,11 @@ file is renamed into place once complete, and ``summary.json`` comes last.
 The rows writer formats each line with one %-format string built from that
 schema (17 significant digits per float, ``csv``'s CRLF line ends); a trial's
 rows share most of their top sums, so it makes one text per distinct bit
-pattern of the trial's top sums and joins the stored texts.  The aggregate
-writer takes each (column, key) pair as a lane of finite values and reduces
-all lanes of one length together, along the last axis of one contiguous
-array, which gives bitwise the values of reducing each lane alone.
+pattern of the top sums of a run of whole trials and joins the stored
+texts.  The aggregate writer takes each (column, key) pair as a lane of
+finite values and reduces all lanes of one length together, along the last
+axis of one contiguous array, which gives bitwise the values of reducing
+each lane alone.
 
 The engine filters each block of observations before touching the book.
 Stage 1 runs on the stream's raw Philox words, before any float: words,
@@ -43,10 +44,21 @@ points whose sum is below the smallest frontier sum minus the margin are
 strictly dominated, because the smallest frontier sum only grows.  Stage 2
 drops points some block-start record strictly dominates; domination
 survives record replacement, since a record's killer dominates everything
-the record dominated.  The rest go through the exact sequential path one
-by one, and the skipped runs are absorbed in bulk (their count and their
-surviving sums, which hold every sum that can enter the top sums; the
-per-coordinate maxima are read off the records, which hold them).  Blocks
+the record dominated.  One comparison of every pair of the rest, the
+candidates (``_first_dominators``), flags them: a candidate is a record iff
+no earlier candidate strictly dominates it.  An earlier point that does
+lies in the block, since every point before the block is a block-start
+record or dominated by one, and stage 2 tested those; and it is a
+candidate: its computed sum is at least the candidate's (float addition is
+monotone), so the sum filter kept it, and a block-start record dominating
+it would dominate the candidate too.  The block then reaches the book in
+segments, one ``RecordBook._extend`` step each: the whole block on the
+observation clock, and on the records clock a segment per record, since a
+state follows each.  A step takes the segment's observation count, its
+surviving sums (which hold every sum that can enter the top sums), the
+epochs of its records and those of them that no later candidate of the
+segment beats, which are the records still current at its end; the
+per-coordinate maxima are read off the records, which hold them.  Blocks
 hold at most as many observations as were seen before them (at least 64),
 so they double up to ``_CHUNK`` and the filters work against recent
 records early on, when records are frequent.  Net effect: identical books
@@ -54,8 +66,10 @@ and rows at any ``_CHUNK``, with the exponential map and the sums paid
 only by the few points that can matter, and most words never converted.
 
 The smallest frontier sum comes from the corners of the record-setting
-region (``frontier.RegionCorners``), which each trial updates record by
-record: a new record replaces only the corners it strictly dominates.
+region (``frontier.RegionCorners``), where a new record replaces only the
+corners it strictly dominates.  Each segment adds only its records still
+current at its end: a record killed later defines no live corner, so the
+corner set and its smallest sum are those of adding every record.
 """
 
 from __future__ import annotations
@@ -80,7 +94,7 @@ from .analytics import (
     records_time_fplus_centering,
 )
 from .frontier import RegionCorners, f_plus
-from .records import RecordBook, _as_int, _as_real, _shown, coord_sums
+from .records import RecordBook, _as_int, _as_real, _beats, _shown, coord_sums
 from .rng import ObservationStream, _exponential, _uniform
 
 __all__ = [
@@ -108,7 +122,12 @@ _UNIFORM_FILTER_LIMIT = 700.0  # exp(-700) is a normal double; see _uniform_surv
 # exceeds its saving, by at most some 10 us a block, but a floor that high
 # seldom meets a block that small (BENCH_engine_inputs.json, per_block).
 _WORD_GATE_PASS = 0.05
+_FLAG_CELLS = 1 << 21  # booleans in one (d, rows, c) block of _first_dominators
 _MAX_GRID_STEPS = 10**5  # far more checkpoints than any grid needs
+# the rows writer keys a run of whole trials' top sums at once; a run closes
+# at this many cells, where np.unique alone takes about 30 us, as long as
+# the fixed cost of a block (the block, the call and its text table)
+_ROWS_BLOCK_CELLS = 1024
 
 
 def geometric_grid(n_max: int, ratio: float = 1.2) -> tuple:
@@ -351,6 +370,22 @@ def _stage1(stream: ObservationStream, take: int, floor: float) -> tuple:
     return gated[kept], u[kept]
 
 
+def _first_dominators(pts: np.ndarray) -> list:
+    """For each row k of the (c, d) array ``pts``, the index of the first
+    row that strictly dominates it, or c if none does.  The comparison is
+    formed in row blocks of at most ``_FLAG_CELLS`` cells, last to first,
+    so the earliest hit is written last."""
+    c, d = pts.shape
+    if c < 2:  # one row beats none
+        return [c] * c
+    step = max(1, _FLAG_CELLS // (c * d))
+    first = c
+    for lo in reversed(range(0, c, step)):
+        dom = _beats(pts[lo:lo + step], pts)  # dom[i, k]: row lo + i beats row k
+        first = np.where(dom.any(axis=0), lo + dom.argmax(axis=0), first)
+    return first.tolist()
+
+
 def trajectory(cfg: ExperimentConfig, trial: int):
     """Run one trial through the filtered engine, yielding its states.
 
@@ -359,12 +394,18 @@ def trajectory(cfg: ExperimentConfig, trial: int):
     ``cfg.grid``.  ``book`` is the trial's RecordBook and ``corners`` its
     RegionCorners (``corners.value`` is F-).  Both are live: the generator
     advances them in place when it resumes, so read or copy what you need
-    before asking for the next state.  The states are identical to feeding
-    the trial's stream to a plain book one point at a time, at any ``_CHUNK``.
-    Once the generator is exhausted, the book stands at ``cfg.n_max``
-    observations when ``cfg.records_time`` is set and at the last grid point
-    otherwise, since no state comes after that point.  Like any generator,
-    it checks ``trial`` only when first advanced.
+    before asking for the next state.  At any ``_CHUNK``, each book is
+    identical to a plain book fed the trial's stream one point at a time,
+    and ``corners`` holds the corners of that book's records, with a
+    bitwise-equal ``value``.  Their order depends on the order records were
+    added in, and a segment adds only its records still current at its end
+    (the module docstring), so it can differ from adding every record as it
+    is set: in ``corners.points`` and ``corners.sums``, and in ``witness()``
+    when two corners tie for the smallest sum.  Once the generator is
+    exhausted, the book stands at ``cfg.n_max`` observations when
+    ``cfg.records_time`` is set and at the last grid point otherwise, since
+    no state comes after that point.  Like any generator, it checks
+    ``trial`` only when first advanced.
     """
     trial = _as_int(trial, "trial", 0)
     stream = ObservationStream(cfg.master_seed, trial, cfg.d)
@@ -386,18 +427,28 @@ def trajectory(cfg: ExperimentConfig, trial: int):
         cand = np.nonzero(sums >= fmin)[0]
         if cand.size:
             cand = cand[~book.dominated_by_current(pts[cand])]
-        prev = done = 0  # survivors and observations of the block absorbed
-        for i, at in zip(cand.tolist(), kept[cand].tolist()):
-            if at > done:
-                book.absorb_nonrecords(at - done, sums[prev:i])
-            out = book._observe_raw(pts[i], float(sums[i]))
-            if out.is_record:
-                corners._add_raw(pts[i])
-                if cfg.records_time:
-                    yield "rec", book, corners
-            prev, done = i + 1, at + 1
-        if done < take:
-            book.absorb_nonrecords(take - done, sums[prev:])
+        cpts = pts.take(cand, axis=0)
+        first = _first_dominators(cpts)
+        at, cand = kept.take(cand).tolist(), cand.tolist()
+        recs = [k for k, f in enumerate(first) if f > k]  # no earlier candidate beats them
+        epochs = [pos + at[k] + 1 for k in recs]
+        # One book step per segment, which ends after each record on the
+        # records clock and at the block's end; each stop counts, from the
+        # block's start, the segment's records, candidates, stage-1
+        # survivors and observations, and names the state that follows it
+        stops = [(j + 1, k + 1, cand[k] + 1, at[k] + 1, "rec")
+                 for j, k in enumerate(recs)] if cfg.records_time else []
+        stops.append((len(recs), len(cand), sums.size, take, None))
+        a = prev = done = 0
+        for b, stop, hi, upto, clock in stops:
+            # the segment's records that no later candidate of it beats: current at its end
+            current = cpts.take([k for k in recs[a:b] if first[k] >= stop], axis=0)
+            book._extend(upto - done, sums[prev:hi], current, epochs[a:b])
+            for z in current:
+                corners._add_raw(z)
+            if clock:
+                yield clock, book, corners
+            a, prev, done = b, hi, upto
         pos += take
         if gi < len(grid) and pos == grid[gi]:
             yield "obs", book, corners
@@ -467,20 +518,27 @@ def _atomic_open(path: Path):
 
 def _write_rows(path: Path, rows: list, cfg: ExperimentConfig) -> None:
     """Write the rows CSV.  A trial's rows are contiguous and share most of
-    their top sums, and share none with another trial's.  So each trial's
-    bhat cells are taken as one (rows, top_m) float block, each distinct
-    bit pattern in it is formatted once, and each row joins the stored
-    texts.  Bit patterns keep 0.0 and -0.0 apart and merge equal NaNs."""
+    their top sums, and share none with another trial's.  So the bhat cells
+    of a run of whole trials are taken as one (rows, top_m) float block,
+    each distinct bit pattern in it is formatted once, and each row joins
+    the stored texts.  A run closes once it holds ``_ROWS_BLOCK_CELLS``
+    cells: short trials share one ``np.unique`` call and its fixed cost,
+    and a long trial keeps a block of its own.  Bit patterns keep 0.0 and
+    -0.0 apart and merge equal NaNs."""
     fmt, head, bhat, tail = _ROW_PARTS[cfg.strip_check]
+    runs = [[]]
+    for _, trial_rows in groupby(rows, attrgetter("trial")):
+        if len(runs[-1]) * cfg.top_m >= _ROWS_BLOCK_CELLS:
+            runs.append([])
+        runs[-1] += trial_rows
     with _atomic_open(path) as fh:
         fh.write(",".join(_header(cfg.top_m, cfg.strip_check)) + _EOL)
-        for _, trial_rows in groupby(rows, attrgetter("trial")):
-            trial_rows = list(trial_rows)
-            block = np.array(list(map(bhat, trial_rows)), dtype=np.float64)
+        for run in filter(None, runs):
+            block = np.array(list(map(bhat, run)), dtype=np.float64)
             bits, index = np.unique(block.view(np.uint64), return_inverse=True)
             text = list(map("%.17g".__mod__, bits.view(np.float64).tolist())).__getitem__
             fh.writelines(fmt % (*head(row), ",".join(map(text, at)), *tail(row))
-                          for row, at in zip(trial_rows, index.reshape(block.shape).tolist()))
+                          for row, at in zip(run, index.reshape(block.shape).tolist()))
 
 
 # aggregated: every number a row holds but its trial index, n and the bhat tuple

@@ -40,6 +40,16 @@ def coord_sums(arr: np.ndarray) -> np.ndarray:
     return np.add.reduce(arr, axis=-1)
 
 
+def _beats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) mask: row i of ``a`` strictly dominates row k of
+    ``b``, for two (., d) float64 arrays.  The comparison runs on
+    contiguous columns, as one (d, len(a), len(b)) array reduced over its
+    outer axis: a reduction along a last axis only d long is several times
+    slower."""
+    cols_a, cols_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    return (cols_a[:, :, None] > cols_b[:, None, :]).all(axis=0)
+
+
 def _as_coords(x, d: int | None = None) -> np.ndarray:
     """The one gate for points from outside: a 1-d float64 array of finite,
     nonnegative coordinates (``d`` of them when given), else ValueError."""
@@ -238,9 +248,29 @@ class RecordBook:
         if sums.ndim != 1 or sums.size > count:
             raise ValueError(f"expected at most {count} sums in a 1-d array, "
                              f"got shape {sums.shape}")
+        self._extend(count, sums, None, ())
+
+    def _extend(self, count: int, sums: np.ndarray, current, epochs: list) -> None:
+        # Hot path, one step for a run of ``count`` observations.  The caller
+        # guarantees: ``epochs`` lists the observation counts at which the
+        # run's observations set records, ascending; ``current`` (a (k, d)
+        # float64 array, in time order; unused when ``epochs`` is empty)
+        # holds those records that no later observation of the run strictly
+        # dominates, so it is nonempty when ``epochs`` is (the last record
+        # is current); ``sums`` is as for absorb_nonrecords, a 1-d float64
+        # array.  Only ``current`` is needed to kill: whatever a record
+        # killed within the run dominates, its killer dominates too, and so
+        # on up to a current record.
         self.n += count
         if sums.size:
             self._merge_top(sums)
+        if epochs:
+            recs = self._coords
+            beats = _beats(current, recs)
+            if np.count_nonzero(beats):
+                recs = recs[~beats.any(axis=0)]
+            self._coords = np.concatenate((recs, current))
+            self.epochs.extend(epochs)
 
     def dominated_by_current(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask: which rows of ``pts`` some current record dominates."""
@@ -249,9 +279,7 @@ class RecordBook:
             raise ValueError(f"expected a (k, {self.d}) array, got shape {pts.shape}")
         if self.r == 0 or pts.shape[0] == 0:
             return np.zeros(pts.shape[0], dtype=bool)
-        recs = self._coords
-        # (r, k, d) broadcast; r stays small so this is cheap
-        return np.any(np.all(recs[:, None, :] > pts[None, :, :], axis=2), axis=0)
+        return _beats(self._coords, pts).any(axis=0)
 
     # -- internals --------------------------------------------------------
 

@@ -73,12 +73,14 @@ MUTANTS = (
            ("tests/test_records.py",),
            "A new record breaks only the records it strictly dominates; with "
            ">= it also breaks those it ties."),
-    Mutant("stage2-tie-dominated", RECORDS,
-           "np.all(recs[:, None, :] > pts[None, :, :], axis=2)",
-           "np.all(recs[:, None, :] >= pts[None, :, :], axis=2)",
-           ("tests/test_records.py::test_dominated_by_current_leaves_tied_points",),
-           "The engine's stage 2 drops the points some record dominates; with "
-           ">= it drops tied points that are records."),
+    Mutant("block-masks-tie-dominated", RECORDS,
+           "(cols_a[:, :, None] > cols_b[:, None, :])",
+           "(cols_a[:, :, None] >= cols_b[:, None, :])",
+           ("tests/test_records.py::test_dominated_by_current_leaves_tied_points",
+            "tests/test_harness.py::test_in_block_records_match_the_per_point_book"),
+           "One strict-dominance mask serves the engine's stage 2, its in-block "
+           "record flags and its kill mask; with >= stage 2 drops tied points "
+           "that are records, and every candidate beats itself."),
     Mutant("strictly-dominates-tie", RECORDS,
            "np.all(ca > _as_coords(b, ca.size))",
            "np.all(ca >= _as_coords(b, ca.size))",
@@ -151,6 +153,59 @@ MUTANTS = (
            ("tests/test_harness.py::test_trajectory_matches_frozen_full_block_engine",),
            "While the top sums are filling every sum enters them, so there is "
            "no floor from them yet."),
+    # -- a block's records, applied in segments -------------------------------------
+    Mutant("in-block-flag-direction", HARNESS,
+           "dom = _beats(pts[lo:lo + step], pts)",
+           "dom = _beats(pts, pts[lo:lo + step]).T",
+           ("tests/test_harness.py::test_in_block_records_match_the_per_point_book",),
+           "A candidate is a record iff no earlier candidate of its block "
+           "strictly dominates it, not iff it dominates none before it."),
+    Mutant("in-block-first-hit-order", HARNESS,
+           "for lo in reversed(range(0, c, step)):",
+           "for lo in range(0, c, step):",
+           ("tests/test_harness.py::test_flag_step_memory_is_bounded",),
+           "With the row blocks in forward order a later dominator overwrites "
+           "an earlier one, and a candidate beaten by both reads as a record."),
+    Mutant("flag-rows-unbounded", HARNESS,
+           "step = max(1, _FLAG_CELLS // (c * d))",
+           "step = c",
+           ("tests/test_harness.py::test_flag_step_memory_is_bounded",),
+           "One (d, c, c) comparison for a block of c candidates needs c * c * d "
+           "bytes: over 96 MB for 4096 candidates at d = 6."),
+    Mutant("segment-alive-inverted", HARNESS,
+           "cpts.take([k for k in recs[a:b] if first[k] >= stop], axis=0)",
+           "cpts.take([k for k in recs[a:b] if first[k] < stop], axis=0)",
+           ("tests/test_harness.py::test_in_block_records_match_the_per_point_book",),
+           "The book and the corners take a segment's records that no later "
+           "candidate of the segment beats, not those it beats."),
+    Mutant("segment-alive-dropped", HARNESS,
+           "cpts.take([k for k in recs[a:b] if first[k] >= stop], axis=0)",
+           "cpts.take(recs[a:b], axis=0)",
+           ("tests/test_harness.py::test_in_block_records_match_the_per_point_book",),
+           "A record killed within its own segment is not current at the "
+           "segment's end."),
+    Mutant("segment-epochs-off-by-one", HARNESS,
+           "epochs = [pos + at[k] + 1 for k in recs]",
+           "epochs = [pos + at[k] for k in recs]",
+           ("tests/test_harness.py::test_in_block_records_match_the_per_point_book",),
+           "Record epochs are 1-based observation counts."),
+    Mutant("segment-end-off-by-one", HARNESS,
+           'cand[k] + 1, at[k] + 1, "rec")',
+           'cand[k] + 1, at[k], "rec")',
+           ("tests/test_harness.py::test_in_block_records_match_the_per_point_book",),
+           "A records-clock state comes after its record's observation, so n "
+           "counts it."),
+    Mutant("extend-kill-direction", RECORDS,
+           "beats = _beats(current, recs)",
+           "beats = _beats(recs, current).T",
+           ("tests/test_harness.py::test_in_block_records_match_the_per_point_book",),
+           "A segment's current records break the book's records they "
+           "dominate, not those that dominate them (none do)."),
+    Mutant("extend-kill-skipped", RECORDS,
+           "if np.count_nonzero(beats):",
+           "if False:",
+           ("tests/test_harness.py::test_in_block_records_match_the_per_point_book",),
+           "A block-start record that an in-block record dominates is broken."),
     # -- output ---------------------------------------------------------------------
     Mutant("rows-float-keys", HARNESS,
            "np.unique(block.view(np.uint64), return_inverse=True)",

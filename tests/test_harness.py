@@ -7,6 +7,7 @@ import json
 import math
 import struct
 import sys
+import tracemalloc
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,7 +23,7 @@ from paretorecords.analytics import (
     mean_records,
     records_time_fplus_centering,
 )
-from paretorecords.frontier import f_minus, f_plus
+from paretorecords.frontier import f_minus, f_plus, in_rs
 from paretorecords.harness import (
     CheckpointRow,
     ExperimentConfig,
@@ -184,6 +185,11 @@ def assert_per_point_book(cfg, trial, coords):
     return plain, clocks
 
 
+def _unit(x):
+    """The uniform index (u = unit * 2**-53) of a coordinate close to x."""
+    return int(-math.expm1(-x) * 2.0**53)
+
+
 class CraftedStream:
     """Stands in for a trial's ObservationStream: serves the rows of a
     (n, d) uint64 array in order, as raw words or as their uniforms."""
@@ -205,11 +211,10 @@ def test_record_just_above_f_minus_is_kept(monkeypatch):
     # F-, well inside the sum filter's margin: the engine keeps it, so every
     # state is the per-point book's
     n = 200
-    k = lambda x: int(-math.expm1(-x) * 2.0**53)  # uniform index of coordinate ~x
     words = np.zeros((n, 2), dtype=np.uint64)  # the origin: dominated by A
-    words[0] = k(1.0), k(5.0)  # A
-    words[1] = k(5.0), k(1.0)  # B: F- is the corner (A_1, B_2), sum about 2
-    words[100] = k(1.0) + 1, k(1.0) + 1  # C: above that corner in both
+    words[0] = _unit(1.0), _unit(5.0)  # A
+    words[1] = _unit(5.0), _unit(1.0)  # B: F- is the corner (A_1, B_2), sum about 2
+    words[100] = _unit(1.0) + 1, _unit(1.0) + 1  # C: above that corner in both
     words <<= np.uint64(11)
     coords = _exponential(_uniform(words))
     s = float(coord_sums(coords[100]))
@@ -224,6 +229,89 @@ def test_record_just_above_f_minus_is_kept(monkeypatch):
                                    records_time=records_time)
             plain, _ = assert_per_point_book(cfg, 0, coords)
             assert plain.R == 3 and plain.epochs[-1] == 101  # C is a record
+
+
+def sorted_corners(corners):
+    """The corners' points and sums, in lexicographic order of the points."""
+    order = np.lexsort(corners.points.T[::-1])
+    return corners.points[order], corners.sums[order]
+
+
+def test_in_block_records_match_the_per_point_book(monkeypatch):
+    # a d=2 stream whose block [60, 124) holds the in-block cases: P, a
+    # record that kills the block-start record C and is killed in its own
+    # block by R; Q, above F- and beaten only by the earlier in-block P; and
+    # S, T, which tie R in one coordinate each and exceed it in the other,
+    # and so are records beside it.  Every state is the per-point book's,
+    # and at every obs state the corners are those of the per-point book's
+    # records, value bit for bit
+    n = 200
+    points = {0: (1.0, 5.0), 1: (5.0, 1.0), 30: (1.2, 1.2),  # A, B, C
+              70: (2.0, 2.0), 75: (1.5, 1.5), 80: (3.0, 3.0),  # P, Q, R
+              90: (3.0, 3.5), 95: (3.5, 3.0)}  # S, T
+    words = np.zeros((n, 2), dtype=np.uint64)  # the origin: dominated by A
+    for at, xy in points.items():
+        words[at] = [_unit(x) for x in xy]
+    words <<= np.uint64(11)
+    coords = _exponential(_uniform(words))
+    assert coords[80, 0] == coords[90, 0] and coords[80, 1] == coords[95, 1]
+    monkeypatch.setattr(harness, "ObservationStream",
+                        lambda master_seed, trial, dim: CraftedStream(words))
+    for chunk in (1, 17, 1 << 16):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        for records_time in (False, True):
+            cfg = ExperimentConfig(d=2, n_max=n, checkpoints=(60, 124, n), top_m=3,
+                                   records_time=records_time)
+            plain = RecordBook(2, top_capacity=cfg.top_m)
+            for clock, book, corners in harness.trajectory(cfg, 0):
+                for row in coords[plain.n:book.n]:
+                    plain.observe(row)
+                assert book.state_equals(plain), (chunk, clock, book.n)
+                ref = RegionCorners.of(plain)
+                assert np.float64(corners.value).tobytes() == np.float64(ref.value).tobytes()
+                if clock == "obs":
+                    for got, want in zip(sorted_corners(corners), sorted_corners(ref)):
+                        assert got.tobytes() == want.tobytes(), (chunk, book.n)
+            # A, B, C, P, R, S and T set records; C and P are broken
+            assert plain.epochs == [1, 2, 31, 71, 81, 91, 96]
+            assert plain.r == 5 and not in_rs(plain, coords[75])
+
+
+def test_flag_step_memory_is_bounded(monkeypatch):
+    # a d=6 stream whose block [4096, 8192) holds X, which beats everything
+    # after it, then 4095 candidates: none is beaten by the block-start
+    # record Y (their coordinate 0 is 0, or Z's 9.5) and each by X, and the
+    # last, Z, beats all but X.  The all-pairs comparison of the block needs
+    # 4096 * 4096 * 6 bytes (over 96 MB); the flag step's row blocks keep the
+    # trial under the bound of test_region_corners_add_memory_is_bounded,
+    # fixed in advance, and find each row's first dominator, X, not Z
+    n, d = 8192, 6
+    rng = np.random.default_rng(12)
+    words = np.zeros((n, d), dtype=np.uint64)
+    words[0] = _unit(0.1)  # Y
+    words[4096] = _unit(10.0)  # X
+    x = rng.uniform(0.5, 9.0, (n - 4097, d - 1))
+    words[4097:, 1:] = (-np.expm1(-x) * 2.0**53).astype(np.uint64)
+    words[-1] = _unit(9.5)  # Z
+    words <<= np.uint64(11)
+    coords = _exponential(_uniform(words))
+    monkeypatch.setattr(harness, "ObservationStream",
+                        lambda master_seed, trial, dim: CraftedStream(words))
+    sizes = []
+    first_dominators = harness._first_dominators
+    monkeypatch.setattr(harness, "_first_dominators",
+                        lambda pts: sizes.append(len(pts)) or first_dominators(pts))
+    cfg = ExperimentConfig(d=d, n_max=n, checkpoints=(n,), top_m=8)
+    tracemalloc.start()
+    try:
+        (_, _, corners), = harness.trajectory(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) == n - 4096  # the check is not vacuous
+    assert peak < 32 * 2**20, peak
+    plain, _ = assert_per_point_book(cfg, 0, coords)
+    assert plain.epochs == [1, 4097] and corners.value == f_minus(plain)
 
 
 def test_corner_count_is_linear_in_general_position():
