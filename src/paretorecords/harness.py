@@ -52,18 +52,23 @@ record or dominated by one, and stage 2 tested those; and it is a
 candidate: its computed sum is at least the candidate's (float addition is
 monotone), so the sum filter kept it, and a block-start record dominating
 it would dominate the candidate too.  The block then reaches the book in
-segments, one ``RecordBook._extend`` step each: the whole block on the
-observation clock, and on the records clock a segment per record, since a
-state follows each.  A step takes the segment's observation count, its
-surviving sums (which hold every sum that can enter the top sums), the
-epochs of its records and those of them that no later candidate of the
-segment beats, which are the records still current at its end; the
-per-coordinate maxima are read off the records, which hold them.  Blocks
-hold at most as many observations as were seen before them (at least 64),
-so they double up to ``_CHUNK`` and the filters work against recent
-records early on, when records are frequent.  Net effect: identical books
-and rows at any ``_CHUNK``, with the exponential map and the sums paid
-only by the few points that can matter, and most words never converted.
+segments, one ``RecordBook._extend`` step each.  A segment ends at each
+stop, a point where a state follows: each record on the records clock,
+each grid point inside the block, and the block's end.  A grid point is a
+stop like a record, counted by its position in the block (the records,
+candidates and stage-1 survivors at or before it), so the grid never
+splits a block; where a record and a grid point share an ``n``, the
+record's state comes first.  A step takes the segment's observation
+count, its surviving sums (which hold every sum that can enter the top
+sums), the epochs of its records and those of them that no later
+candidate of the segment beats, which are the records still current at
+its end; the per-coordinate maxima are read off the records, which hold
+them.  Blocks hold at most as many observations as were seen before them
+(at least 64), so they double up to ``_CHUNK`` whatever the grid, and the
+filters work against recent records early on, when records are frequent.
+Net effect: identical books and rows at any ``_CHUNK``, with the
+exponential map and the sums paid only by the few points that can
+matter, and most words never converted.
 
 The smallest frontier sum comes from the corners of the record-setting
 region (``frontier.RegionCorners``), where a new record replaces only the
@@ -78,10 +83,11 @@ import csv
 import json
 import math
 import os
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import groupby, islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -391,8 +397,12 @@ def trajectory(cfg: ExperimentConfig, trial: int):
 
     Yields ``(clock, book, corners)``: ``("rec", ...)`` after each record
     when ``cfg.records_time`` is set, and ``("obs", ...)`` at each point of
-    ``cfg.grid``.  ``book`` is the trial's RecordBook and ``corners`` its
-    RegionCorners (``corners.value`` is F-).  Both are live: the generator
+    ``cfg.grid``, in order of ``n``; where a record and a grid point share
+    an ``n``, the ``"rec"`` state comes first.  A grid point is a stop
+    inside an engine block, like a record, so blocks follow the stream's
+    doubling schedule whatever the grid.  ``book`` is the trial's
+    RecordBook and ``corners`` its RegionCorners (``corners.value`` is F-).
+    Both are live: the generator
     advances them in place when it resumes, so read or copy what you need
     before asking for the next state.  At any ``_CHUNK``, each book is
     identical to a plain book fed the trial's stream one point at a time,
@@ -413,11 +423,9 @@ def trajectory(cfg: ExperimentConfig, trial: int):
     grid = cfg.grid
     corners = RegionCorners(cfg.d)
     end = cfg.n_max if cfg.records_time else grid[-1]
-    gi = 0
     pos = 0
     while pos < end:
-        target = grid[gi] if gi < len(grid) else cfg.n_max
-        take = min(_CHUNK, target - pos, max(pos, _FIRST_BLOCK))
+        take = min(_CHUNK, end - pos, max(pos, _FIRST_BLOCK))
         fmin = corners.value - _SUM_FILTER_MARGIN
         top = book.top_sums
         floor = min(fmin, top[-1] if top.size == cfg.top_m else -math.inf)
@@ -433,11 +441,17 @@ def trajectory(cfg: ExperimentConfig, trial: int):
         recs = [k for k, f in enumerate(first) if f > k]  # no earlier candidate beats them
         epochs = [pos + at[k] + 1 for k in recs]
         # One book step per segment, which ends after each record on the
-        # records clock and at the block's end; each stop counts, from the
-        # block's start, the segment's records, candidates, stage-1
-        # survivors and observations, and names the state that follows it
+        # records clock, at each grid point and at the block's end; each
+        # stop counts, from the block's start, the segment's records,
+        # candidates, stage-1 survivors and observations, and names the
+        # state that follows it
         stops = [(j + 1, k + 1, cand[k] + 1, at[k] + 1, "rec")
                  for j, k in enumerate(recs)] if cfg.records_time else []
+        # the block's grid points, as counts of its observations
+        marks = [g - pos for g in grid[bisect_right(grid, pos):bisect_right(grid, pos + take)]]
+        stops += [(bisect_right(epochs, pos + o), bisect_left(at, o), hi, o, "obs")
+                  for o, hi in zip(marks, kept.searchsorted(marks).tolist())]
+        stops.sort(key=itemgetter(3))  # stable: at a shared n the record's state first
         stops.append((len(recs), len(cand), sums.size, take, None))
         a = prev = done = 0
         for b, stop, hi, upto, clock in stops:
@@ -450,9 +464,6 @@ def trajectory(cfg: ExperimentConfig, trial: int):
                 yield clock, book, corners
             a, prev, done = b, hi, upto
         pos += take
-        if gi < len(grid) and pos == grid[gi]:
-            yield "obs", book, corners
-            gi += 1
 
 
 def _simulate(cfg: ExperimentConfig, trial: int) -> list:

@@ -142,8 +142,8 @@ MUTANTS = (
            "The gate's pass-share bound alone picks words or uniforms; a block "
            "size threshold came back."),
     Mutant("engine-ignores-chunk", HARNESS,
-           "take = min(_CHUNK, target - pos, max(pos, _FIRST_BLOCK))",
-           "take = min(1 << 16, target - pos, max(pos, _FIRST_BLOCK))",
+           "take = min(_CHUNK, end - pos, max(pos, _FIRST_BLOCK))",
+           "take = min(1 << 16, end - pos, max(pos, _FIRST_BLOCK))",
            ("tests/test_harness.py::test_trial_determinism_and_chunk_invariance",),
            "The block cap is _CHUNK, read when the generator runs; the "
            "chunk-invariance tests only mean something if it is."),
@@ -195,6 +195,27 @@ MUTANTS = (
            ("tests/test_harness.py::test_in_block_records_match_the_per_point_book",),
            "A records-clock state comes after its record's observation, so n "
            "counts it."),
+    Mutant("grid-stop-candidates-off-by-one", HARNESS,
+           "bisect_left(at, o)",
+           "bisect_left(at, o - 1)",
+           ("tests/test_harness.py::test_grid_stops_inside_blocks_keep_the_per_point_book",),
+           "A grid stop's segment holds the candidate at the stop's own "
+           "observation; without it, a record that candidate kills in the "
+           "segment reads as current."),
+    Mutant("grid-stop-survivors-off-by-one", HARNESS,
+           "kept.searchsorted(marks)",
+           "kept.searchsorted(marks, side=\"right\")",
+           ("tests/test_harness.py::test_grid_stops_inside_blocks_keep_the_per_point_book",),
+           "A grid stop's segment ends at its own observation; counting the "
+           "stage-1 survivor after it puts the next observation's sum in the "
+           "top sums a state early."),
+    Mutant("grid-stop-before-record", HARNESS,
+           "stops.sort(key=itemgetter(3))",
+           "stops.sort(key=itemgetter(3, 4))",
+           ("tests/test_harness.py::test_grid_stops_inside_blocks_keep_the_per_point_book",),
+           "Where a record and a grid point share an n, the record's state "
+           "comes first; sorting on the clock's name puts \"obs\" before "
+           "\"rec\"."),
     Mutant("extend-kill-direction", RECORDS,
            "beats = _beats(current, recs)",
            "beats = _beats(recs, current).T",
@@ -277,6 +298,30 @@ MUTANTS = (
            ("tests/test_rng.py::test_copies_never_share_bits",),
            "A copy sharing the generator advances it under both streams."),
     # -- analytics --------------------------------------------------------------------
+    Mutant("sampler-newton-underflow-guard", ANALYTICS,
+           "newton = excess / f_y if partial > 0.0 and f_y > 0.0 else math.inf",
+           "newton = excess / f_y if f_y > 0.0 else math.inf",
+           ("tests/test_analytics.py::test_sample_y_matches_bisection_reference",),
+           "Where the mass over [a, y] underflowed to zero the residual says "
+           "nothing about y, so no Newton step may be taken from it."),
+    Mutant("sampler-residual-order", ANALYTICS,
+           "excess = (base - target) + partial",
+           "excess = base + partial - target",
+           ("tests/test_analytics.py::test_sample_y_matches_bisection_reference",),
+           "Where the CDF is flat in floats (u near 1), base + partial rounds "
+           "the partial mass away; base - target must be formed first."),
+    Mutant("sampler-bracket-before-convergence", ANALYTICS,
+           "            if abs(newton) < _NEWTON_TOL:\n"
+           "                return min(max(y - newton, lo), hi)\n"
+           "            if hi - lo < _BRACKET_TOL:\n"
+           "                break\n",
+           "            if hi - lo < _BRACKET_TOL:\n"
+           "                break\n"
+           "            if abs(newton) < _NEWTON_TOL:\n"
+           "                return min(max(y - newton, lo), hi)\n",
+           ("tests/test_analytics.py::test_sampler_draws_are_bitwise_pinned",),
+           "A converged Newton step may land on lo or hi; testing the bracket "
+           "first bisects it away and returns the bracket's midpoint."),
     Mutant("gumbel-overflow-warns", ANALYTICS,
            'with np.errstate(over="ignore"):',
            "with np.errstate():",

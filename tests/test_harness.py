@@ -21,6 +21,7 @@ from paretorecords import harness
 from paretorecords.analytics import (
     fplus_centering,
     mean_records,
+    p_record,
     records_time_fplus_centering,
 )
 from paretorecords.frontier import f_minus, f_plus, in_rs
@@ -314,6 +315,68 @@ def test_flag_step_memory_is_bounded(monkeypatch):
     assert plain.epochs == [1, 4097] and corners.value == f_minus(plain)
 
 
+@pytest.fixture
+def blocks(monkeypatch):
+    """The sizes of the blocks stage 1 reads, in order."""
+    sizes = []
+    stage1 = harness._stage1
+
+    def recording_stage1(stream, take, floor):
+        sizes.append(take)
+        return stage1(stream, take, floor)
+
+    monkeypatch.setattr(harness, "_stage1", recording_stage1)
+    return sizes
+
+
+def test_blocks_follow_the_stream_schedule_not_the_grid(blocks):
+    # a checkpoint is a stop inside a block: blocks double from 64 up to
+    # _CHUNK whatever the grid, so the 52 points of the default grid to 10^5
+    # leave the schedule's 12 blocks whole, and every state is still the
+    # per-point book's
+    doubling = [64] + [64 << k for k in range(10)]  # 65536 observations
+    cfg = ExperimentConfig(d=2, n_max=10**5, master_seed=5, records_time=True)
+    assert len(cfg.grid) == 52
+    coords = ObservationStream(cfg.master_seed, 0, cfg.d).take(cfg.n_max)
+    plain, clocks = assert_per_point_book(cfg, 0, coords)
+    assert blocks == doubling + [10**5 - 65536]
+    assert clocks.count("obs") == 52 and clocks.count("rec") == plain.R
+    # the observation clock: 40 checkpoints, in 6 blocks
+    blocks.clear()
+    cfg = ExperimentConfig(d=3, n_max=2000, master_seed=6, checkpoints=range(50, 2001, 50))
+    coords = ObservationStream(cfg.master_seed, 0, cfg.d).take(cfg.n_max)
+    _, clocks = assert_per_point_book(cfg, 0, coords)
+    assert blocks == doubling[:5] + [2000 - 1024]
+    assert clocks == ["obs"] * 40
+
+
+def test_grid_stops_inside_blocks_keep_the_per_point_book(monkeypatch):
+    # checkpoints at a trial's own record epochs and either side of each: on
+    # the records clock a rec and an obs state share each epoch's n, and the
+    # rec state comes first; and a grid stop's segment ends at its own
+    # observation, no sooner or later.  On the observation clock, checkpoints
+    # at every other epoch end segments at a record, which may kill the
+    # record before it in the same segment.  Every state is the per-point
+    # book's, at any _CHUNK
+    for d in (1, 2):
+        base = ExperimentConfig(d=d, n_max=3000, master_seed=60 + d)
+        coords = ObservationStream(base.master_seed, 0, d).take(base.n_max)
+        plain = RecordBook(d, top_capacity=base.top_m)
+        for row in coords:
+            plain.observe(row)
+        epochs = plain.epochs
+        around = [e + step for e in epochs for step in (-1, 0, 1) if 0 < e + step <= base.n_max]
+        for chunk in (1, 17, 1 << 16):
+            monkeypatch.setattr(harness, "_CHUNK", chunk)
+            cfg = replace(base, checkpoints=around, records_time=True)
+            _, clocks = assert_per_point_book(cfg, 0, coords)
+            states = sorted([(e, 0, "rec") for e in epochs] + [(g, 1, "obs") for g in cfg.grid])
+            assert clocks == [clock for _, _, clock in states], (d, chunk)
+            cfg = replace(base, checkpoints=epochs[1::2])
+            _, clocks = assert_per_point_book(cfg, 0, coords)
+            assert clocks == ["obs"] * len(epochs[1::2])
+
+
 def test_corner_count_is_linear_in_general_position():
     # on stream data (ties have probability 0) the region has (d-1) r + 1
     # corners after every record, the count of local upper bounds for
@@ -348,6 +411,31 @@ def test_second_record_time_law():
             z = (np.count_nonzero(t2 > n) - trials * p) / math.sqrt(trials * p * (1 - p))
             print(f"P(T_2 > {n}), d={d}: z = {z:+.2f} (bound 4)")
             assert abs(z) <= 4.0, (d, n, z)
+
+
+def test_records_broken_per_record_law():
+    # on the records clock, record m breaks K_m = beta_m - beta_{m-1}
+    # current records; given a record at n = T_m, E[K_m] = 1 - p(n, d - 1) /
+    # p(n, d), with p(., 0) = 0.  At d = 1 each record breaks the one before
+    # it.  At d = 2, 3 a z-score over the per-trial sums of K_m - E[K_m]
+    # (m >= 2), which are independent across trials; bound fixed before the
+    # first run
+    for d, trials, n_max in ((1, 50, 10**4), (2, 300, 10**4), (3, 100, 3000)):
+        cfg = ExperimentConfig(d=d, n_max=n_max, master_seed=1200 + d,
+                               checkpoints=(n_max,), records_time=True)
+        excess = []
+        for trial in range(trials):
+            recs = [(row.n, row.beta) for row in run_trial(cfg, trial) if row.clock == "rec"]
+            broken = np.diff([beta for _, beta in recs])
+            if d == 1:
+                assert (broken == 1).all(), trial
+                continue
+            mean = [1.0 - p_record(n, d - 1) / p_record(n, d) for n, _ in recs[1:]]
+            excess.append(float(np.sum(broken - mean)))
+        if d > 1:
+            z = np.mean(excess) / (np.std(excess, ddof=1) / math.sqrt(trials))
+            print(f"records broken per record, d={d}: z = {z:+.2f} (bound 4)")
+            assert abs(z) <= 4.0, (d, z)
 
 
 # n_max per d keeps every example short: corners multiply steeply with d
