@@ -17,8 +17,8 @@ the per-dimension maxima of the blocked coordinates.  So
 
 The minimum is attained at a minimal point ("corner") of the region, and
 every corner is such a cap vector.  ``RegionCorners`` keeps the corners and
-updates them one record at a time, in every dimension, the way local upper
-bounds are updated in multiobjective search (Klamroth, Lacour &
+updates them one batch of records at a time, in every dimension, the way
+local upper bounds are updated in multiobjective search (Klamroth, Lacour &
 Vanderpooten, EJOR 245, 2015), checking each candidate against the records
 that define its corner (Dächert, Klamroth, Lacour & Vanderpooten, "Efficient
 computation of the search region in multi-objective optimization", EJOR
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import RecordBook, _as_coords, _as_int, _as_real
+from .records import RecordBook, _as_coords, _as_int, _as_real, _beats, _first_beaters
 
 __all__ = [
     "IntegerGridPoint",
@@ -92,7 +92,7 @@ def f_minus(book: RecordBook) -> float:
 
 class RegionCorners:
     """The minimal points ("corners") of the record-setting region, kept
-    up to date one record at a time.
+    up to date one batch of records at a time.
 
     ``points`` holds the corners as a (k, d) array and ``sums`` their
     coordinate sums rounded with math.fsum.  With no records the region is
@@ -103,16 +103,16 @@ class RegionCorners:
     and fsum is monotone, so both minima are the same correctly rounded
     sum of the same coordinates.
 
-    ``add(z)`` applies a new record z.  The region loses exactly the points
-    z strictly dominates, so a corner z does not strictly dominate stays,
-    and stays minimal, because the region only shrinks.  A dead corner c
-    (c < z) is replaced by candidates c^j: c with coordinate j raised to
-    z_j, one per dimension j.  Every new corner is such a candidate: it
-    lies above a dead corner c and blocks z in some coordinate j, so it
-    lies at or above c^j, which is in the new region, and minimality makes
-    the two equal.  Which candidates are corners is read off the records
-    that define c, as local upper bounds are updated by their defining
-    points (Dächert et al., EJOR 260(3), 2017).  A record w defines c in
+    Adding one record z: the region loses exactly the points z strictly
+    dominates, so a corner z does not strictly dominate stays, and stays
+    minimal, because the region only shrinks.  A dead corner c (c < z) is
+    replaced by candidates c^j: c with coordinate j raised to z_j, one per
+    dimension j.  Every new corner is such a candidate: it lies above a
+    dead corner c and blocks z in some coordinate j, so it lies at or
+    above c^j, which is in the new region, and minimality makes the two
+    equal.  Which candidates are corners is read off the records that
+    define c, as local upper bounds are updated by their defining points
+    (Dächert et al., EJOR 260(3), 2017).  A record w defines c in
     coordinate i if w_i = c_i and w_k > c_k for every k != i.  Where
     c_i > 0, some record defines c in i, or c could move down in i.
 
@@ -127,19 +127,50 @@ class RegionCorners:
       killer would strictly dominate that corner.  A record that kills
       no corner leaves the region as it was.
 
-    So ``_seen`` holds every record that killed a corner, with no
-    deletions; row 0, +inf, stands for the origin's zero coordinates.
-    ``_src`` gives, for each corner coordinate, the row of ``_seen`` it
-    was copied from (row 0 where the coordinate is 0), and c^j inherits
-    the rows of c with column j set to z's.  While no two rows share a
-    value in one coordinate, a record defining c in i must be the one row
-    holding c_i there, the stored one, so the rule is one (dead, d, d)
-    gather and compare.
+    So ``_seen`` holds every record that killed a corner (and the other
+    records of its batch, which define none), with no deletions; row 0,
+    +inf, stands for the origin's zero coordinates.  ``_src`` gives, for
+    each corner coordinate, the row of ``_seen`` it was copied from (row 0
+    where the coordinate is 0), and c^j inherits the rows of c with column
+    j set to z's.  While no two rows share a value in one coordinate, a
+    record defining c in i must be the one row holding c_i there, the
+    stored one, so the rule is one (dead, d, d) gather and compare.
     Once a record ties an earlier one, the defining records are looked up
     among all rows from then on, with a (dead, rows, d) mask.  The rule
     tests minimality directly, so corners that z leaves alive need no
-    check.  New corners are appended block by block (all c^j for one j),
-    dead corners in their stored order within a block.
+    check.
+
+    ``add(z)`` applies one record; the engine applies a batch: records
+    z_0, ..., z_{m-1} in the order they were set, none strictly dominating
+    another, in one step that leaves the corner set, and so ``value``, as
+    adding them one at a time would.  Each corner dies at its first
+    killer, the first record that strictly dominates it; one comparison
+    of every record with every corner finds it, formed in blocks of at
+    most 2**21 cells (``records._first_beaters``, the engine's bound).
+    The step then runs in rounds.  The first takes the old corners that
+    die; each later one takes the new corners that died in the round
+    before.  A round builds each dead corner's candidates by the rule
+    above against its killer z_b, exactly as adding z_b alone would: the
+    corner was alive when z_b came, and its defining rows are those of
+    records set before z_b.  A candidate that is a corner can die only at
+    a record after z_b, since it lies at or above its dead corner, which
+    no earlier record strictly dominates, and it blocks z_b.  So the
+    round's new corners are tested against the records after its
+    earliest killer (no test when none follows), and those that die seed
+    the next round.  The new corners that never die, and the old corners
+    no record kills, are the corners after the batch; their sums and rows
+    are written once.
+
+    The old corners no record kills stay first, in their stored order.
+    New corners follow, ordered by the record that made them, then by
+    coordinate j (its "block"), then by their dead corner's place in the
+    step's list of dead corners: the old ones, in stored order, then
+    those the step made, round by round, in the order they were made.
+    For one record that is the order of adding it alone.  A batch whose
+    records tie a stored row or one another in some coordinate, or any
+    batch once ``_seen`` holds a tie, is applied one record at a time by
+    the same step, so that rows of later records never serve as
+    defining records.
 
     A non-record z kills no corner, so adding it changes nothing.
 
@@ -147,8 +178,9 @@ class RegionCorners:
     kills: adding the others, in the order they were set, gives the same
     corner set and so a bitwise-equal ``value``.  The corners' order, and
     so ``witness()`` among corners with tied sums, depends on what was
-    added.  The trial engine adds, after each of its segments, only the
-    records still current at the segment's end.
+    added and how it was batched.  The trial engine adds, after each of
+    its segments, the records still current at the segment's end, as one
+    batch.
     """
 
     def __init__(self, d: int):
@@ -159,13 +191,11 @@ class RegionCorners:
         self._src = np.zeros((1, d), dtype=np.intp)
         self._tied = False
         self._eye = np.eye(d, dtype=bool)
-        self._own = np.diag(np.full(d, -np.inf))  # z + _own: block j skips i = j
 
     @classmethod
     def of(cls, book: RecordBook) -> "RegionCorners":
         corners = cls(book.d)
-        for z in book.record_coords:
-            corners._add_raw(z)
+        corners._add_rows(book.record_coords)  # in set order, none dominating another
         return corners
 
     @property
@@ -177,30 +207,78 @@ class RegionCorners:
 
     def add(self, z) -> None:
         """Apply a new record ``z``: d finite, nonnegative coordinates."""
-        self._add_raw(_as_coords(z, self.points.shape[1]))
+        self._add_rows(_as_coords(z, self.points.shape[1])[None])
 
-    def _add_raw(self, z: np.ndarray) -> None:
-        # Hot path: caller guarantees z is a validated 1-d float64[d].
+    def _add_rows(self, zs: np.ndarray) -> None:
+        # Hot path: caller guarantees zs is a validated (m, d) float64 array
+        # of records in the order they were set, none dominating another.
+        m = len(zs)
+        if not m:
+            return
+        if m > 1 and (self._tied or _ties(np.concatenate((self._seen, zs)))):
+            for b in range(m):  # so that no later record's row defines a corner
+                self._add_rows(zs[b:b + 1])
+            return
         pts, seen = self.points, self._seen
-        dead = (pts < z).all(axis=1)
+        if m == 1:  # the one record is the first killer of every corner it kills
+            first, dead = None, _beats(zs, pts)[0]
+        else:
+            first = _first_beaters(zs, pts)  # each corner's first killer, m if none
+            dead = first < m
         gone = dead.nonzero()[0]
         if not gone.size:
             return
+        if m == 1:
+            self._tied = self._tied or bool(np.logical_or.reduce(seen == zs, axis=None))
+        rows = np.concatenate((seen, zs))  # record b is row len(seen) + b
         lost, src = pts.take(gone, axis=0), self._src.take(gone, axis=0)
-        self._tied = self._tied or bool((seen == z).any())
-        # above[c, i, j]: a defining record of c in i exceeds z in j, or i = j;
-        # until two records tie, each stored row is the only defining record
-        above = (_defined_above(seen, lost, z) if self._tied
-                 else seen.take(src, axis=0) > z + self._own)
-        block, row = above.all(axis=1).T.nonzero()  # block-major
-        raised = self._eye[block]  # candidate n raises coordinate block[n]
-        cand = np.where(raised, z, lost.take(row, axis=0))
-        live = (~dead).nonzero()[0]  # take() on indices beats a row mask
+        by = None if m == 1 else first.take(gone)  # each dead corner's killer
+        made, start = [], 0  # each round's new corners that stay; its dead corners' offset
+        while True:
+            zk = zs if m == 1 else zs.take(by, axis=0)
+            # above[c, i, j]: a defining record of c in i exceeds c's killer
+            # in j, or i = j; until two records tie, each stored row is the
+            # only defining record
+            if self._tied:
+                above = _defined_above(seen, lost, zs[0])
+            else:
+                above = rows.take(src, axis=0) > zk[:, None, :]
+                above |= self._eye
+            block, row = np.logical_and.reduce(above, axis=1).T.nonzero()  # block-major
+            raised = self._eye[block]  # candidate n raises coordinate block[n]
+            if m == 1:  # one round, with no record after it; births come in order
+                cand = np.where(raised, zs, lost.take(row, axis=0))
+                src = np.where(raised, len(seen), src.take(row, axis=0))
+                break
+            by = by.take(row)  # the record each candidate blocks
+            cand = np.where(raised, zk.take(row, axis=0), lost.take(row, axis=0))
+            src = np.where(raised, len(seen) + by[:, None], src.take(row, axis=0))
+            born = cand, src, by, block, start + row  # with the keys of their order
+            lo = int(by.min(initial=m - 1)) + 1  # no record up to by kills a candidate
+            nxt = _first_beaters(zs[lo:], cand) + lo if lo < m else np.full(len(cand), m)
+            dies = (nxt < m).nonzero()[0]
+            if not dies.size:
+                made.append(born)
+                break
+            stay = (nxt == m).nonzero()[0]
+            made.append([x.take(stay, axis=0) for x in born])
+            start += len(lost)
+            lost, src, by = cand.take(dies, axis=0), src.take(dies, axis=0), nxt.take(dies)
+        if m > 1:  # every round's survivors, by (record, block, dead corner)
+            cand, src, by, block, parent = map(np.concatenate, zip(*made))
+            order = np.lexsort((parent, block, by))
+            cand, src = cand.take(order, axis=0), src.take(order, axis=0)
+        live = (~dead).nonzero()[0]
         self.points = np.concatenate((pts.take(live, axis=0), cand))
-        self.sums = np.concatenate((self.sums.take(live), [math.fsum(c) for c in cand.tolist()]))
-        src = np.where(raised, len(seen), src.take(row, axis=0))
+        self.sums = np.concatenate((self.sums.take(live), list(map(math.fsum, cand.tolist()))))
         self._src = np.concatenate((self._src.take(live, axis=0), src))
-        self._seen = np.concatenate((seen, z[None]))
+        self._seen = rows
+
+
+def _ties(rows: np.ndarray) -> bool:
+    """Whether two rows of ``rows`` share a value in some coordinate."""
+    col = np.sort(rows, axis=0)
+    return bool((col[1:] == col[:-1]).any())
 
 
 def _defined_above(seen: np.ndarray, lost: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -72,9 +72,12 @@ matter, and most words never converted.
 
 The smallest frontier sum comes from the corners of the record-setting
 region (``frontier.RegionCorners``), where a new record replaces only the
-corners it strictly dominates.  Each segment adds only its records still
-current at its end: a record killed later defines no live corner, so the
-corner set and its smallest sum are those of adding every record.
+corners it strictly dominates.  Each segment adds its records still current
+at its end, in one batch step: a record killed later defines no live
+corner, so the corner set and its smallest sum are those of adding every
+record one at a time.  Within a step, each corner dies at the first of the
+segment's records that strictly dominates it, and the corners the step
+makes follow the old ones, ordered by the record that made them.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ from .analytics import (
     records_time_fplus_centering,
 )
 from .frontier import RegionCorners, f_plus
-from .records import RecordBook, _as_int, _as_real, _beats, _shown, coord_sums
+from .records import RecordBook, _as_int, _as_real, _first_beaters, _shown, coord_sums
 from .rng import ObservationStream, _exponential, _uniform
 
 __all__ = [
@@ -128,7 +131,6 @@ _UNIFORM_FILTER_LIMIT = 700.0  # exp(-700) is a normal double; see _uniform_surv
 # exceeds its saving, by at most some 10 us a block, but a floor that high
 # seldom meets a block that small (BENCH_engine_inputs.json, per_block).
 _WORD_GATE_PASS = 0.05
-_FLAG_CELLS = 1 << 21  # booleans in one (d, rows, c) block of _first_dominators
 _MAX_GRID_STEPS = 10**5  # far more checkpoints than any grid needs
 # the rows writer keys a run of whole trials' top sums at once; a run closes
 # at this many cells, where np.unique alone takes about 30 us, as long as
@@ -378,18 +380,12 @@ def _stage1(stream: ObservationStream, take: int, floor: float) -> tuple:
 
 def _first_dominators(pts: np.ndarray) -> list:
     """For each row k of the (c, d) array ``pts``, the index of the first
-    row that strictly dominates it, or c if none does.  The comparison is
-    formed in row blocks of at most ``_FLAG_CELLS`` cells, last to first,
-    so the earliest hit is written last."""
-    c, d = pts.shape
+    row that strictly dominates it, or c if none does, compared in bounded
+    blocks (``records._first_beaters``)."""
+    c = len(pts)
     if c < 2:  # one row beats none
         return [c] * c
-    step = max(1, _FLAG_CELLS // (c * d))
-    first = c
-    for lo in reversed(range(0, c, step)):
-        dom = _beats(pts[lo:lo + step], pts)  # dom[i, k]: row lo + i beats row k
-        first = np.where(dom.any(axis=0), lo + dom.argmax(axis=0), first)
-    return first.tolist()
+    return _first_beaters(pts, pts).tolist()
 
 
 def trajectory(cfg: ExperimentConfig, trial: int):
@@ -407,11 +403,12 @@ def trajectory(cfg: ExperimentConfig, trial: int):
     before asking for the next state.  At any ``_CHUNK``, each book is
     identical to a plain book fed the trial's stream one point at a time,
     and ``corners`` holds the corners of that book's records, with a
-    bitwise-equal ``value``.  Their order depends on the order records were
-    added in, and a segment adds only its records still current at its end
-    (the module docstring), so it can differ from adding every record as it
-    is set: in ``corners.points`` and ``corners.sums``, and in ``witness()``
-    when two corners tie for the smallest sum.  Once the generator is
+    bitwise-equal ``value``.  Their order depends on how the records were
+    added: a segment adds its records still current at its end, as one
+    batch (the module docstring, and ``RegionCorners`` for the order in a
+    batch), so it can differ from adding every record as it is set: in
+    ``corners.points`` and ``corners.sums``, and in ``witness()`` when two
+    corners tie for the smallest sum.  Once the generator is
     exhausted, the book stands at ``cfg.n_max`` observations when
     ``cfg.records_time`` is set and at the last grid point otherwise, since
     no state comes after that point.  Like any generator, it checks
@@ -458,8 +455,7 @@ def trajectory(cfg: ExperimentConfig, trial: int):
             # the segment's records that no later candidate of it beats: current at its end
             current = cpts.take([k for k in recs[a:b] if first[k] >= stop], axis=0)
             book._extend(upto - done, sums[prev:hi], current, epochs[a:b])
-            for z in current:
-                corners._add_raw(z)
+            corners._add_rows(current)
             if clock:
                 yield clock, book, corners
             a, prev, done = b, hi, upto

@@ -30,6 +30,9 @@ __all__ = [
     "coord_sums",
 ]
 
+_BEATS_CELLS = 1 << 21  # booleans in one (d, rows, cols) block of _first_beaters
+
+
 def coord_sums(arr: np.ndarray) -> np.ndarray:
     """Row sums of a (k, d) coordinate array.
 
@@ -47,7 +50,25 @@ def _beats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     outer axis: a reduction along a last axis only d long is several times
     slower."""
     cols_a, cols_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    return (cols_a[:, :, None] > cols_b[:, None, :]).all(axis=0)
+    return np.logical_and.reduce(cols_a[:, :, None] > cols_b[:, None, :], axis=0)
+
+
+def _first_beaters(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each row k of ``b``, the index of the first row of ``a`` that
+    strictly dominates it, or len(a) if none does, for a nonempty ``a``.
+    ``_beats`` is formed in blocks of rows of ``a`` of at most
+    ``_BEATS_CELLS`` cells, last to first, so the earliest hit is written
+    last."""
+    c, d = a.shape
+    step = max(1, _BEATS_CELLS // max(1, len(b) * d))
+    first = c
+    for lo in reversed(range(0, c, step)):
+        dom = _beats(a[lo:lo + step], b)  # dom[i, k]: row lo + i beats row k
+        hit = dom.argmax(axis=0)
+        if lo:
+            hit += lo
+        first = np.where(np.logical_or.reduce(dom, axis=0), hit, first)
+    return first
 
 
 def _as_coords(x, d: int | None = None) -> np.ndarray:

@@ -74,13 +74,14 @@ MUTANTS = (
            "A new record breaks only the records it strictly dominates; with "
            ">= it also breaks those it ties."),
     Mutant("block-masks-tie-dominated", RECORDS,
-           "(cols_a[:, :, None] > cols_b[:, None, :])",
-           "(cols_a[:, :, None] >= cols_b[:, None, :])",
+           "cols_a[:, :, None] > cols_b[:, None, :]",
+           "cols_a[:, :, None] >= cols_b[:, None, :]",
            ("tests/test_records.py::test_dominated_by_current_leaves_tied_points",
             "tests/test_harness.py::test_in_block_records_match_the_per_point_book"),
            "One strict-dominance mask serves the engine's stage 2, its in-block "
-           "record flags and its kill mask; with >= stage 2 drops tied points "
-           "that are records, and every candidate beats itself."),
+           "record flags, its kill mask and the corners' kill test; with >= "
+           "stage 2 drops tied points that are records, and every candidate "
+           "beats itself."),
     Mutant("strictly-dominates-tie", RECORDS,
            "np.all(ca > _as_coords(b, ca.size))",
            "np.all(ca >= _as_coords(b, ca.size))",
@@ -154,20 +155,20 @@ MUTANTS = (
            "While the top sums are filling every sum enters them, so there is "
            "no floor from them yet."),
     # -- a block's records, applied in segments -------------------------------------
-    Mutant("in-block-flag-direction", HARNESS,
-           "dom = _beats(pts[lo:lo + step], pts)",
-           "dom = _beats(pts, pts[lo:lo + step]).T",
+    Mutant("in-block-flag-direction", RECORDS,
+           "dom = _beats(a[lo:lo + step], b)",
+           "dom = _beats(b, a[lo:lo + step]).T",
            ("tests/test_harness.py::test_in_block_records_match_the_per_point_book",),
            "A candidate is a record iff no earlier candidate of its block "
            "strictly dominates it, not iff it dominates none before it."),
-    Mutant("in-block-first-hit-order", HARNESS,
+    Mutant("in-block-first-hit-order", RECORDS,
            "for lo in reversed(range(0, c, step)):",
            "for lo in range(0, c, step):",
            ("tests/test_harness.py::test_flag_step_memory_is_bounded",),
            "With the row blocks in forward order a later dominator overwrites "
            "an earlier one, and a candidate beaten by both reads as a record."),
-    Mutant("flag-rows-unbounded", HARNESS,
-           "step = max(1, _FLAG_CELLS // (c * d))",
+    Mutant("flag-rows-unbounded", RECORDS,
+           "step = max(1, _BEATS_CELLS // max(1, len(b) * d))",
            "step = c",
            ("tests/test_harness.py::test_flag_step_memory_is_bounded",),
            "One (d, c, c) comparison for a block of c candidates needs c * c * d "
@@ -236,21 +237,23 @@ MUTANTS = (
            "with -0.0 and split NaNs."),
     # -- region corners -------------------------------------------------------------
     Mutant("dead-scan-ties", FRONTIER,
-           "dead = (pts < z).all(axis=1)",
-           "dead = (pts <= z).all(axis=1)",
+           "first, dead = None, _beats(zs, pts)[0]",
+           "first, dead = None, (pts <= zs).all(axis=1)",
            ("tests/test_frontier.py",),
            "A record kills only the corners it strictly dominates; a corner it "
            "ties stays in the region."),
     Mutant("corner-rule-ties", FRONTIER,
-           "seen.take(src, axis=0) > z + self._own",
-           "seen.take(src, axis=0) >= z + self._own",
+           "above = rows.take(src, axis=0) > zk[:, None, :]",
+           "above = rows.take(src, axis=0) >= zk[:, None, :]",
            ("tests/test_frontier.py",),
            "A candidate corner is kept only where a defining record strictly "
            "exceeds the new record.",
-           equivalent="this comparison runs only while no stored row equals z "
-           "in any coordinate (_tied is set from (seen == z).any() just "
-           "before), and on the diagonal z_j - inf is below every row, so > "
-           "and >= agree on every element"),
+           equivalent="this comparison runs only while no two rows of rows "
+           "share a value in any coordinate (a batch of one sets _tied from "
+           "(seen == zs) just before; a larger batch with a tie goes one "
+           "record at a time), a defining row is never its corner's killer, "
+           "and the diagonal is set True after the comparison, so > and >= "
+           "agree on every element"),
     Mutant("corner-rule-ties-tied", FRONTIER,
            "np.matmul(defines.transpose(0, 2, 1), seen > z)",
            "np.matmul(defines.transpose(0, 2, 1), seen >= z)",
@@ -258,17 +261,54 @@ MUTANTS = (
            "Once records tie, a defining record must strictly exceed the new "
            "record; a tied one does not keep the candidate corner."),
     Mutant("tie-lookup-off", FRONTIER,
-           "self._tied = self._tied or bool((seen == z).any())",
+           "self._tied = self._tied or bool(np.logical_or.reduce(seen == zs, axis=None))",
            "self._tied = self._tied",
            ("tests/test_frontier.py",),
            "Once two records tie, the stored defining record need not be the "
            "only one, so the rule must look them up among all rows."),
     Mutant("corner-sums-unrounded", FRONTIER,
-           "[math.fsum(c) for c in cand.tolist()]",
+           "list(map(math.fsum, cand.tolist()))",
            "cand.sum(axis=1)",
            ("tests/test_frontier.py",),
            "F- is the correctly rounded sum of its corner, bit for bit the "
            "min-cover formula's."),
+    # -- region corners, a batch of records in one step ---------------------------------
+    Mutant("later-records-window-late", FRONTIER,
+           "lo = int(by.min(initial=m - 1)) + 1",
+           "lo = int(by.min(initial=m - 1)) + 2",
+           ("tests/test_frontier.py::test_corner_batch_chain_runs_in_rounds",),
+           "A round's new corners are tested against every record after the "
+           "earliest one that made them; starting a record later misses the "
+           "next record's kills, and a dead corner stays."),
+    Mutant("first-killer-taken-last", RECORDS,
+           "hit = dom.argmax(axis=0)",
+           "hit = len(dom) - 1 - dom[::-1].argmax(axis=0)",
+           ("tests/test_frontier.py::test_corner_batch_chain_runs_in_rounds",),
+           "A corner dies at the first record of its batch that strictly "
+           "dominates it; built against a later killer, its candidates skip "
+           "the records between."),
+    Mutant("birth-row-off-by-one", FRONTIER,
+           "len(seen) + by[:, None]",
+           "len(seen) + by[:, None] - 1",
+           ("tests/test_frontier.py::test_corner_batch_record_killing_nothing_comes_first",),
+           "Record b of a batch is row len(seen) + b of _seen; a new corner's "
+           "coordinate j names that row as its defining record, even where an "
+           "earlier record of the batch killed nothing."),
+    Mutant("batch-tie-fallback-off", FRONTIER,
+           "if m > 1 and (self._tied or _ties(np.concatenate((self._seen, zs)))):",
+           "if False:",
+           ("tests/test_frontier.py::test_corner_batches_match_one_at_a_time",),
+           "Where a batch ties a stored row or itself, the stored row of a "
+           "corner coordinate need not be its only defining record, and a "
+           "later record's row may define it: the batch must go one record at "
+           "a time."),
+    Mutant("corner-kill-unbounded", FRONTIER,
+           "first = _first_beaters(zs, pts)",
+           "first = np.where(_beats(zs, pts).any(axis=0), _beats(zs, pts).argmax(axis=0), m)",
+           ("tests/test_frontier.py::test_region_corners_batch_memory_is_bounded",),
+           "The kill test compares every record of a batch with every corner: "
+           "in one piece that is d * m * k booleans, over 37 MB for 2000 "
+           "records and 3239 corners at d = 6."),
     # -- command line -----------------------------------------------------------------
     Mutant("records-time-default", CLI,
            'sim.add_argument("--records-time", action="store_const", const=True)',

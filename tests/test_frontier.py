@@ -1,12 +1,13 @@
 """Frontier extremes: worked cases, route agreement, integer repair."""
 
+import copy
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from paretorecords import RecordBook, rebuild_oracle
+from paretorecords import RecordBook, frontier, rebuild_oracle
 from paretorecords.frontier import (
     IntegerGridPoint,
     RegionCorners,
@@ -263,6 +264,157 @@ def test_region_corners_many_dead_match_frozen_add():
         assert dead > 500
         corners.add(z)
         assert_same_corners(corners, *frozen_region_add(points, sums, z))
+
+
+class FrozenCorners:
+    """Frozen copy of RegionCorners from before batches: the
+    defining-record rule applied one record at a time (``add``)."""
+
+    def __init__(self, d):
+        self.points, self.sums = np.zeros((1, d)), np.zeros(1)
+        self._seen = np.full((1, d), np.inf)
+        self._src = np.zeros((1, d), dtype=np.intp)
+        self._tied = False
+        self._eye = np.eye(d, dtype=bool)
+        self._own = np.diag(np.full(d, -np.inf))
+
+    def add(self, z):
+        pts, seen = self.points, self._seen
+        dead = (pts < z).all(axis=1)
+        gone = dead.nonzero()[0]
+        if not gone.size:
+            return
+        lost, src = pts.take(gone, axis=0), self._src.take(gone, axis=0)
+        self._tied = self._tied or bool((seen == z).any())
+        if self._tied:
+            over = (seen > lost[:, None, :]).sum(axis=2)
+            defines = (seen == lost[:, None, :]) & (over == z.size - 1)[:, :, None]
+            above = np.matmul(defines.transpose(0, 2, 1), seen > z)
+            above |= (lost == 0.0)[:, :, None] | self._eye
+        else:
+            above = seen.take(src, axis=0) > z + self._own
+        block, row = above.all(axis=1).T.nonzero()
+        raised = self._eye[block]
+        cand = np.where(raised, z, lost.take(row, axis=0))
+        live = (~dead).nonzero()[0]
+        self.points = np.concatenate((pts.take(live, axis=0), cand))
+        self.sums = np.concatenate((self.sums.take(live), [math.fsum(c) for c in cand.tolist()]))
+        src = np.where(raised, len(seen), src.take(row, axis=0))
+        self._src = np.concatenate((self._src.take(live, axis=0), src))
+        self._seen = np.concatenate((seen, z[None]))
+
+
+def corner_rows(corners):
+    """The corners with their sums, as sorted row bytes: the corner set and
+    its sums bit for bit, whatever the order."""
+    return sorted(row.tobytes() for row in np.column_stack((corners.points, corners.sums)))
+
+
+def still_current(recs):
+    """The rows of ``recs`` (in set order) that no later row strictly
+    dominates."""
+    beaten = (recs[:, None, :] > recs[None, :, :]).all(axis=2)  # [i, k]: i beats k
+    return recs[~np.tril(beaten, -1).any(axis=0)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+def test_corner_batches_match_one_at_a_time(d, ties):
+    # a per-point book cut into random segments, as the engine cuts a
+    # stream: after each segment, one batch of its records still current
+    # gives the corner set, the bitwise sums and the value that adding
+    # every record one at a time gives; and a batch of one record gives
+    # the frozen per-record step's corners in its order, bit for bit
+    rng = np.random.default_rng(29 + d)
+    n = {1: 400, 2: 1500, 3: 1000, 4: 400, 5: 200, 6: 80}[d]
+    # about slowly growing simplices, as in test_region_corners_match_frozen_add
+    scale = 3.0 + 3.0 * np.arange(n)[:, None] / n + rng.uniform(0.0, 0.5, (n, 1))
+    pts = rng.dirichlet(np.ones(d), n) * scale
+    if ties:
+        pts = np.ceil(2.0 * pts)
+    book = RecordBook(d)
+    batched, single, frozen = RegionCorners(d), RegionCorners(d), FrozenCorners(d)
+    ends = np.cumsum(rng.integers(1, 9, n))
+    start, multi = 0, 0
+    for end in ends[ends < n].tolist() + [n]:
+        seg = [row for row in pts[start:end] if book.observe(row).is_record]
+        for row in seg:
+            single._add_rows(row[None])
+            frozen.add(row)
+            assert single.points.tobytes() == frozen.points.tobytes()
+            assert single.sums.tobytes() == frozen.sums.tobytes()
+        if seg:
+            current = still_current(np.array(seg))
+            multi += len(current) > 1
+            batched._add_rows(current)
+        assert corner_rows(batched) == corner_rows(frozen)
+        assert np.float64(batched.value).tobytes() == frozen.sums.min().tobytes()
+        start = end
+    assert batched.value == f_minus(book)
+    # batches of several records do occur (in one dimension one record
+    # kills every earlier one, unless they tie)
+    assert multi >= (0 if d == 1 else 10)
+
+
+def test_corner_batch_chain_runs_in_rounds():
+    # each record kills the corner the one before it made: (2, 2) makes
+    # (2, 0) and (0, 2); (3, 1) kills (2, 0) and makes (3, 0) and (2, 1);
+    # (4, 0.5) kills (3, 0) and makes (4, 0) and (3, 0.5).  The origin
+    # dies at its first killer, (2, 2), though all three beat it
+    zs = np.array([[2.0, 2.0], [3.0, 1.0], [4.0, 0.5]])
+    corners = RegionCorners(2)
+    corners._add_rows(zs)
+    # by the record that made them, then by block
+    assert corners.points.tolist() == [[0.0, 2.0], [2.0, 1.0], [4.0, 0.0], [3.0, 0.5]]
+    assert corners.sums.tolist() == [2.0, 3.0, 4.0, 3.5]
+    assert set(map(tuple, corners.points.tolist())) == grid_corners(zs)
+
+
+def test_corner_batch_record_killing_nothing_comes_first():
+    # (0, 5) kills no corner, as no point lies below 0 in x_0; (1, 1) kills
+    # the origin, and the corners it makes must name it as their defining
+    # record: then (2, 2), added later, leaves (1, 2) out of the corners
+    frozen, corners = FrozenCorners(2), RegionCorners(2)
+    for z in ((0.0, 5.0), (1.0, 1.0), (2.0, 2.0)):
+        frozen.add(np.array(z))
+    corners._add_rows(np.array([[0.0, 5.0], [1.0, 1.0]]))
+    corners.add((2.0, 2.0))
+    assert corner_rows(corners) == corner_rows(frozen)
+    assert set(map(tuple, corners.points.tolist())) == grid_corners(
+        np.array([[0.0, 5.0], [1.0, 1.0], [2.0, 2.0]]))
+
+
+def test_region_corners_batch_memory_is_bounded(monkeypatch):
+    # 2000 records in one batch over > 3000 corners at d = 6: a kill test
+    # of every record against every corner in one piece needs d * m * k
+    # booleans (over 37 MB); in blocks of at most 2**21 cells the step stays
+    # under the bound of test_region_corners_add_memory_is_bounded.  The
+    # first record kills every corner; each later one kills the corner an
+    # earlier one made on its axis, so the batch runs in some 330 rounds
+    d, m = 6, 2000
+    base = RegionCorners(d)
+    base._add_rows(np.random.default_rng(3).dirichlet(np.ones(d), 60))
+    assert base.points.shape[0] > 3000
+    b = np.arange(1, m)
+    zs = np.repeat(1.0 - b[:, None] / (2 * m), d, axis=1)
+    zs[b - 1, b % d] = 3.0 + b / m
+    zs = np.concatenate((np.full((1, d), 2.0), zs))
+    one = copy.deepcopy(base)
+    for z in zs:
+        one.add(z)
+    compared = []
+    first_beaters = frontier._first_beaters
+    monkeypatch.setattr(frontier, "_first_beaters",
+                        lambda a, b: compared.append(a.size * len(b)) or first_beaters(a, b))
+    tracemalloc.start()
+    try:
+        base._add_rows(zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    assert max(compared) > 32 * 2**20  # the kill test did take every record
+    assert corner_rows(base) == corner_rows(one)
 
 
 def test_region_corners_refuse_bad_input():
