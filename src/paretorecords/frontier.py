@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import RecordBook, _as_coords, _as_int, _as_real, _beats, _first_beaters
+from .records import _BEATS_CELLS, RecordBook, _as_coords, _as_int, _as_real, _beats, _first_beaters
 
 __all__ = [
     "IntegerGridPoint",
@@ -136,7 +136,9 @@ class RegionCorners:
     record defining c in i must be the one row holding c_i there, the
     stored one, so the rule is one (dead, d, d) gather and compare.
     Once a record ties an earlier one, the defining records are looked up
-    among all rows from then on, with a (dead, rows, d) mask.  The rule
+    among all rows from then on, with a (dead, rows, d) mask.  Either is
+    formed in slices of at most 2**21 // d**2 dead corners (the engine's
+    bound again), and the new corners' sums in slices as long.  The rule
     tests minimality directly, so corners that z leaves alive need no
     check.
 
@@ -220,6 +222,7 @@ class RegionCorners:
                 self._add_rows(zs[b:b + 1])
             return
         pts, seen = self.points, self._seen
+        d = pts.shape[1]
         if m == 1:  # the one record is the first killer of every corner it kills
             first, dead = None, _beats(zs, pts)[0]
         else:
@@ -234,24 +237,30 @@ class RegionCorners:
         lost, src = pts.take(gone, axis=0), self._src.take(gone, axis=0)
         by = None if m == 1 else first.take(gone)  # each dead corner's killer
         made, start = [], 0  # each round's new corners that stay; its dead corners' offset
+        step = max(1, _BEATS_CELLS // (d * d))  # dead corners per (., d, d) slice
         while True:
-            zk = zs if m == 1 else zs.take(by, axis=0)
-            # above[c, i, j]: a defining record of c in i exceeds c's killer
-            # in j, or i = j; until two records tie, each stored row is the
-            # only defining record
-            if self._tied:
-                above = _defined_above(seen, lost, zs[0])
-            else:
-                above = rows.take(src, axis=0) > zk[:, None, :]
-                above |= self._eye
-            block, row = np.logical_and.reduce(above, axis=1).T.nonzero()  # block-major
+            # keep[c, j]: c^j is a corner, i.e. above[c, i, j] for every i,
+            # where above[c, i, j]: a defining record of c in i exceeds c's
+            # killer in j, or i = j; until two records tie, each stored row
+            # is the only defining record
+            keep = np.empty((len(lost), d), dtype=bool)
+            for a in range(0, len(lost), step):
+                part = slice(a, a + step)
+                if self._tied:
+                    above = _defined_above(seen, lost[part], zs[0])
+                else:
+                    zk = zs if m == 1 else zs.take(by[part], axis=0)
+                    above = rows.take(src[part], axis=0) > zk[:, None, :]
+                    above |= self._eye
+                np.logical_and.reduce(above, axis=1, out=keep[part])
+            block, row = keep.T.nonzero()  # block-major
             raised = self._eye[block]  # candidate n raises coordinate block[n]
             if m == 1:  # one round, with no record after it; births come in order
                 cand = np.where(raised, zs, lost.take(row, axis=0))
                 src = np.where(raised, len(seen), src.take(row, axis=0))
                 break
             by = by.take(row)  # the record each candidate blocks
-            cand = np.where(raised, zk.take(row, axis=0), lost.take(row, axis=0))
+            cand = np.where(raised, zs.take(by, axis=0), lost.take(row, axis=0))
             src = np.where(raised, len(seen) + by[:, None], src.take(row, axis=0))
             born = cand, src, by, block, start + row  # with the keys of their order
             lo = int(by.min(initial=m - 1)) + 1  # no record up to by kills a candidate
@@ -269,8 +278,11 @@ class RegionCorners:
             order = np.lexsort((parent, block, by))
             cand, src = cand.take(order, axis=0), src.take(order, axis=0)
         live = (~dead).nonzero()[0]
+        sums = np.empty(len(cand))
+        for a in range(0, len(cand), step):  # a slice's Python floats at a time
+            sums[a:a + step] = list(map(math.fsum, cand[a:a + step].tolist()))
         self.points = np.concatenate((pts.take(live, axis=0), cand))
-        self.sums = np.concatenate((self.sums.take(live), list(map(math.fsum, cand.tolist()))))
+        self.sums = np.concatenate((self.sums.take(live), sums))
         self._src = np.concatenate((self._src.take(live, axis=0), src))
         self._seen = rows
 

@@ -63,9 +63,11 @@ count, its surviving sums (which hold every sum that can enter the top
 sums), the epochs of its records and those of them that no later
 candidate of the segment beats, which are the records still current at
 its end; the per-coordinate maxima are read off the records, which hold
-them.  Blocks hold at most as many observations as were seen before them
-(at least 64), so they double up to ``_CHUNK`` whatever the grid, and the
-filters work against recent records early on, when records are frequent.
+them.  Blocks hold at most three times as many observations as were seen
+before them (at least 64), so they end at 64 * 4**k until they reach
+``_CHUNK``, whatever the grid: each block costs one corner step, so few
+blocks pay, while the filters still work against recent records early on,
+when records are frequent.
 Net effect: identical books and rows at any ``_CHUNK``, with the
 exponential map and the sums paid only by the few points that can
 matter, and most words never converted.
@@ -122,7 +124,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-_FIRST_BLOCK = 64  # blocks start this small and double up to _CHUNK
+_FIRST_BLOCK = 64  # blocks start this small and grow fourfold up to _CHUNK
 _SUM_FILTER_MARGIN = 1e-9  # dwarfs rounding error in any realistic sum
 _UNIFORM_FILTER_LIMIT = 700.0  # exp(-700) is a normal double; see _uniform_survivors
 # The word gate pays on blocks it thins to at most a _WORD_GATE_PASS share;
@@ -144,6 +146,8 @@ def geometric_grid(n_max: int, ratio: float = 1.2) -> tuple:
     The grid multiplies by ``ratio`` about ln(n_max/10)/ln(ratio) times, so a
     ratio too close to 1 for that to stay under ``_MAX_GRID_STEPS`` is refused
     before the loop starts (at 1 + 2**-52 and n_max = 100 it would be 10**16).
+    A ratio so large that the product overflows to inf ends the grid there:
+    ``geometric_grid(100, 1e308)`` is ``(10, 100)``.
     """
     n_max = _as_int(n_max, "n_max", 1)
     ratio = _as_real(ratio, "checkpoint_ratio")
@@ -156,7 +160,7 @@ def geometric_grid(n_max: int, ratio: float = 1.2) -> tuple:
         )
     grid = []
     x = 10.0
-    while round(x) < n_max:
+    while math.isfinite(x) and round(x) < n_max:
         v = int(round(x))
         if not grid or v > grid[-1]:
             grid.append(v)
@@ -396,7 +400,7 @@ def trajectory(cfg: ExperimentConfig, trial: int):
     ``cfg.grid``, in order of ``n``; where a record and a grid point share
     an ``n``, the ``"rec"`` state comes first.  A grid point is a stop
     inside an engine block, like a record, so blocks follow the stream's
-    doubling schedule whatever the grid.  ``book`` is the trial's
+    fourfold schedule whatever the grid.  ``book`` is the trial's
     RecordBook and ``corners`` its RegionCorners (``corners.value`` is F-).
     Both are live: the generator
     advances them in place when it resumes, so read or copy what you need
@@ -422,7 +426,7 @@ def trajectory(cfg: ExperimentConfig, trial: int):
     end = cfg.n_max if cfg.records_time else grid[-1]
     pos = 0
     while pos < end:
-        take = min(_CHUNK, end - pos, max(pos, _FIRST_BLOCK))
+        take = min(_CHUNK, end - pos, max(3 * pos, _FIRST_BLOCK))
         fmin = corners.value - _SUM_FILTER_MARGIN
         top = book.top_sums
         floor = min(fmin, top[-1] if top.size == cfg.top_m else -math.inf)

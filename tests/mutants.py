@@ -143,11 +143,18 @@ MUTANTS = (
            "The gate's pass-share bound alone picks words or uniforms; a block "
            "size threshold came back."),
     Mutant("engine-ignores-chunk", HARNESS,
-           "take = min(_CHUNK, end - pos, max(pos, _FIRST_BLOCK))",
-           "take = min(1 << 16, end - pos, max(pos, _FIRST_BLOCK))",
+           "take = min(_CHUNK, end - pos, max(3 * pos, _FIRST_BLOCK))",
+           "take = min(1 << 16, end - pos, max(3 * pos, _FIRST_BLOCK))",
            ("tests/test_harness.py::test_trial_determinism_and_chunk_invariance",),
            "The block cap is _CHUNK, read when the generator runs; the "
            "chunk-invariance tests only mean something if it is."),
+    Mutant("block-growth-doubling", HARNESS,
+           "max(3 * pos, _FIRST_BLOCK)",
+           "max(pos, _FIRST_BLOCK)",
+           ("tests/test_harness.py::test_blocks_follow_the_stream_schedule_not_the_grid",),
+           "Each block costs one corner step, so blocks grow fourfold; blocks "
+           "that double give the same states in about twice as many steps, "
+           "which only the schedule test sees."),
     Mutant("floor-while-top-fills", HARNESS,
            "top[-1] if top.size == cfg.top_m else -math.inf",
            "top[-1] if top.size else -math.inf",
@@ -243,8 +250,8 @@ MUTANTS = (
            "A record kills only the corners it strictly dominates; a corner it "
            "ties stays in the region."),
     Mutant("corner-rule-ties", FRONTIER,
-           "above = rows.take(src, axis=0) > zk[:, None, :]",
-           "above = rows.take(src, axis=0) >= zk[:, None, :]",
+           "above = rows.take(src[part], axis=0) > zk[:, None, :]",
+           "above = rows.take(src[part], axis=0) >= zk[:, None, :]",
            ("tests/test_frontier.py",),
            "A candidate corner is kept only where a defining record strictly "
            "exceeds the new record.",
@@ -267,8 +274,8 @@ MUTANTS = (
            "Once two records tie, the stored defining record need not be the "
            "only one, so the rule must look them up among all rows."),
     Mutant("corner-sums-unrounded", FRONTIER,
-           "list(map(math.fsum, cand.tolist()))",
-           "cand.sum(axis=1)",
+           "list(map(math.fsum, cand[a:a + step].tolist()))",
+           "cand[a:a + step].sum(axis=1)",
            ("tests/test_frontier.py",),
            "F- is the correctly rounded sum of its corner, bit for bit the "
            "min-cover formula's."),
@@ -309,6 +316,37 @@ MUTANTS = (
            "The kill test compares every record of a batch with every corner: "
            "in one piece that is d * m * k booleans, over 37 MB for 2000 "
            "records and 3239 corners at d = 6."),
+    Mutant("round-slices-unbounded", FRONTIER,
+           "step = max(1, _BEATS_CELLS // (d * d))",
+           "step = max(1, len(lost))",
+           ("tests/test_frontier.py::test_region_corner_rounds_are_bounded",),
+           "A round gathers the defining rows of its dead corners as a (dead, "
+           "d, d) float array; in one piece that is over 26 MB for the 51,423 "
+           "corners one record kills at d = 8."),
+    # -- prefix tables ----------------------------------------------------------------
+    Mutant("prefix-recurrence-shift", ANALYTICS,
+           "ps[1:] = (1.0 if s is None else s[1:]) / ms",
+           "ps[1:] = (1.0 if s is None else s[:-1]) / ms",
+           ("tests/test_analytics.py::test_recurrence_matches_rationals_from_n_1",),
+           "n p(n, d) is the mean number of records among n observations in "
+           "d - 1, S[n] of the level below, not S[n - 1]."),
+    Mutant("climb-base-one-level-low", ANALYTICS,
+           "if k < d), default=0)",
+           "if k < d - 1), default=0)",
+           ("tests/test_analytics.py::test_prefix_cache_bounded_and_descending_sweep_cheap",),
+           "A climb starts from the highest cached level below d; one level "
+           "lower gives the same floats at twice the steps of an ascending "
+           "sweep."),
+    Mutant("prefix-hit-keeps-age", ANALYTICS,
+           "    s = _PREFIX.pop(d, None)\n"
+           "    if s is not None:\n"
+           "        _PREFIX[d] = s  # re-inserted: _PREFIX's order is the eviction order\n",
+           "    s = _PREFIX.get(d)\n"
+           "    if s is not None:\n",
+           ("tests/test_analytics.py::test_prefix_cache_evicts_the_least_recently_requested",),
+           "A requested level moves to the end of the eviction order; left in "
+           "place, the cache evicts the oldest level built, however recently "
+           "it was asked for, and a sweep that returns to it climbs again."),
     # -- command line -----------------------------------------------------------------
     Mutant("records-time-default", CLI,
            'sim.add_argument("--records-time", action="store_const", const=True)',

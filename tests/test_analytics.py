@@ -163,6 +163,21 @@ def test_prefix_cache_bounded_and_descending_sweep_cheap(monkeypatch):
     assert len(steps) == 500 + 250 + 120 + 60
 
 
+def test_prefix_cache_evicts_the_least_recently_requested(monkeypatch):
+    # fill the cache with d = 1..8, ask for d = 1 again, then for d = 9:
+    # d = 2, the least recently requested, is evicted, and d = 1 is still
+    # served without a step
+    steps = _cold_prefix_cache(monkeypatch)
+    for d in range(1, analytics._LEVELS_KEPT + 1):
+        mean_records(5, d)
+    mean_records(5, 1)
+    mean_records(5, analytics._LEVELS_KEPT + 1)
+    assert set(analytics._PREFIX) == set(range(1, analytics._LEVELS_KEPT + 2)) - {2}
+    before = len(steps)
+    mean_records(5, 1)
+    assert len(steps) == before
+
+
 def test_quadrature_meets_tolerance():
     # independent high-precision oracle
     mp = pytest.importorskip("mpmath")

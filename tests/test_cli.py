@@ -401,6 +401,15 @@ def test_non_finite_checkpoint_ratio_exits_2(tmp_path, capsys):
     assert not (tmp_path / "inf").exists() and not (tmp_path / "cfg").exists()
 
 
+def test_overflowing_checkpoint_ratio_runs(tmp_path, capsys):
+    # at 1e308 the grid's second point overflows to inf, which ends it at
+    # (10, 100); the overflow used to escape as a traceback and exit 1
+    assert main(["simulate", "--d", "2", "--n-max", "100", "--checkpoint-ratio", "1e308",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["grid"] == [10, 100] and summary["rows_obs"] == 2
+
+
 def test_checkpoint_ratio_near_one_exits_2(tmp_path):
     # a few ulps above 1 the grid loop would run ~10**16 times; it is refused
     # before the loop starts (the timeout turns a hang into a failure)

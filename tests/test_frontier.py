@@ -417,6 +417,36 @@ def test_region_corners_batch_memory_is_bounded(monkeypatch):
     assert corner_rows(base) == corner_rows(one)
 
 
+def test_region_corner_rounds_are_bounded():
+    # a d = 8 batch whose first record lies above all of > 50,000 corners:
+    # the defining-row gather of its first round is a (dead, 8, 8) float
+    # array, over 26 MB in one piece; formed in slices of at most
+    # _BEATS_CELLS // 64 dead corners, the step stays under the bound of
+    # test_region_corners_add_memory_is_bounded.  Three more records kill
+    # the corners the first one made on their axes, each leaving d in its place
+    d, m = 8, 4
+    base = RegionCorners(d)
+    base._add_rows(np.random.default_rng(3).dirichlet(np.ones(d), 80))
+    b = np.arange(1, m)
+    zs = np.repeat(1.0 - b[:, None] / (2 * m), d, axis=1)
+    zs[b - 1, b % d] = 3.0 + b / m
+    zs = np.concatenate((np.full((1, d), 2.0), zs))
+    dead = int((base.points < zs[0]).all(axis=1).sum())
+    assert dead > 1.5 * (frontier._BEATS_CELLS // (d * d))  # the check is not vacuous
+    one = copy.deepcopy(base)
+    for z in zs:
+        one.add(z)
+    tracemalloc.start()
+    try:
+        base._add_rows(zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    assert corner_rows(base) == corner_rows(one)
+    assert base.points.shape[0] == d + (d - 1) * (m - 1)
+
+
 def test_region_corners_refuse_bad_input():
     for d in (0, -1, "2"):  # bools and non-integers: test_public_surface
         with pytest.raises(ValueError, match="d must be"):

@@ -73,6 +73,11 @@ def test_geometric_grid():
         with pytest.raises(ValueError, match="checkpoint_ratio"):
             geometric_grid(100, ratio=ratio)
     assert geometric_grid(100, ratio=2) == geometric_grid(100, ratio=np.float64(2.0))
+    # a ratio whose product overflows ends the grid; round(inf) used to raise
+    assert geometric_grid(100, ratio=1e200) == (10, 100)
+    for ratio in (1e308, sys.float_info.max):
+        assert geometric_grid(100, ratio=ratio) == (10, 100)
+        assert geometric_grid(10**9, ratio=ratio) == (10, 10**9)
 
 
 def test_config_validation(tmp_path):
@@ -330,24 +335,32 @@ def blocks(monkeypatch):
 
 
 def test_blocks_follow_the_stream_schedule_not_the_grid(blocks):
-    # a checkpoint is a stop inside a block: blocks double from 64 up to
+    # a checkpoint is a stop inside a block: blocks hold up to three times
+    # the observations before them, ending at 64 * 4**k until they reach
     # _CHUNK whatever the grid, so the 52 points of the default grid to 10^5
-    # leave the schedule's 12 blocks whole, and every state is still the
+    # leave the schedule's 7 blocks whole, and every state is still the
     # per-point book's
-    doubling = [64] + [64 << k for k in range(10)]  # 65536 observations
     cfg = ExperimentConfig(d=2, n_max=10**5, master_seed=5, records_time=True)
     assert len(cfg.grid) == 52
     coords = ObservationStream(cfg.master_seed, 0, cfg.d).take(cfg.n_max)
     plain, clocks = assert_per_point_book(cfg, 0, coords)
-    assert blocks == doubling + [10**5 - 65536]
+    assert blocks == [64, 192, 768, 3072, 12288, 49152, 34464]
     assert clocks.count("obs") == 52 and clocks.count("rec") == plain.R
-    # the observation clock: 40 checkpoints, in 6 blocks
+    # the observation clock: 40 checkpoints, in 4 blocks
     blocks.clear()
     cfg = ExperimentConfig(d=3, n_max=2000, master_seed=6, checkpoints=range(50, 2001, 50))
     coords = ObservationStream(cfg.master_seed, 0, cfg.d).take(cfg.n_max)
     _, clocks = assert_per_point_book(cfg, 0, coords)
-    assert blocks == doubling[:5] + [2000 - 1024]
+    assert blocks == [64, 192, 768, 976]
     assert clocks == ["obs"] * 40
+    # a trial the size of the ens_d3 benchmark's: 5 blocks, where blocks
+    # that doubled took 9
+    blocks.clear()
+    cfg = ExperimentConfig(d=3, n_max=10**4, master_seed=7, checkpoints=(10**3, 10**4))
+    coords = ObservationStream(cfg.master_seed, 0, cfg.d).take(cfg.n_max)
+    _, clocks = assert_per_point_book(cfg, 0, coords)
+    assert blocks == [64, 192, 768, 3072, 5904]
+    assert clocks == ["obs"] * 2
 
 
 def test_grid_stops_inside_blocks_keep_the_per_point_book(monkeypatch):
